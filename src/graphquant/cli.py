@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -153,10 +154,7 @@ def cmd_quantify(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     if args.out:
-        cfg = config_mod.ExperimentConfig(
-            dataset=cfg.dataset, classifiers=cfg.classifiers, quantifiers=cfg.quantifiers,
-            shifts=cfg.shifts, fractions=cfg.fractions, repetitions=cfg.repetitions,
-            seed=cfg.seed, output=args.out)
+        cfg = dataclasses.replace(cfg, output=args.out)
     rows = harness.run_experiment(cfg)
     print(f"wrote {len(rows)} result rows to {cfg.output}")
     return 0

@@ -208,32 +208,20 @@ def _parse_features_file(path, n) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _gather_neighbors(g: Graph, frontier: np.ndarray) -> np.ndarray:
-    if len(frontier) == 0:
-        return np.empty(0, dtype=np.int64)
-    chunks = [g.indices[g.indptr[v]:g.indptr[v + 1]] for v in frontier]
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
-
 def bfs_distances(g: Graph, sources) -> list[DistanceRow]:
     """Exact unweighted hop distances from each source (one row per source)."""
+    # Imported here: csgraph adds ~0.1 s to start-up, and only kernel runs need it.
+    from scipy.sparse.csgraph import shortest_path
+
     sources = np.asarray(list(sources), dtype=np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= g.n):
         raise DataError(f"BFS source out of range for n={g.n}")
-    rows = []
-    for s in sources:
-        dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
-        dist[s] = 0
-        frontier = np.asarray([s], dtype=np.int64)
-        d = 0
-        while len(frontier):
-            nxt = _gather_neighbors(g, frontier)
-            nxt = np.unique(nxt[dist[nxt] == UNREACHABLE]) if len(nxt) else nxt
-            d += 1
-            dist[nxt] = d
-            frontier = nxt
-        rows.append(DistanceRow(source=int(s), dist=dist))
-    return rows
+    # the adjacency holds both directions of every edge, so directed search is exact
+    hops = shortest_path(g.adjacency_csr(), unweighted=True, indices=sources)
+    dist = np.full(hops.shape, UNREACHABLE, dtype=np.int32)
+    finite = np.isfinite(hops)
+    dist[finite] = hops[finite]
+    return [DistanceRow(source=int(s), dist=row) for s, row in zip(sources, dist)]
 
 
 def connected_components(g: Graph) -> np.ndarray:
@@ -241,17 +229,7 @@ def connected_components(g: Graph) -> np.ndarray:
 
     Ids are assigned in order of the smallest vertex of each component.
     """
-    comp = np.full(g.n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(g.n):
-        if comp[v] != -1:
-            continue
-        comp[v] = next_id
-        frontier = np.asarray([v], dtype=np.int64)
-        while len(frontier):
-            nxt = _gather_neighbors(g, frontier)
-            nxt = np.unique(nxt[comp[nxt] == -1]) if len(nxt) else nxt
-            comp[nxt] = next_id
-            frontier = nxt
-        next_id += 1
-    return comp
+    # Imported here: csgraph adds ~0.1 s to start-up, and only a few callers need it.
+    from scipy.sparse.csgraph import connected_components as components
+
+    return components(g.adjacency_csr(), directed=False)[1].astype(np.int64)

@@ -8,6 +8,7 @@ seeded from the base seed, so reruns of the same config are byte-identical.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 
@@ -16,13 +17,15 @@ from scipy.special import betainc
 
 from .classifiers import enq_predict, label_prop_predict, load_predictions
 from .config import (ENQ, EXTERNAL, LABEL_PROP, ClassifierConfig, ExperimentConfig)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, GraphQuantError
 from .graph import Graph, load_graph
 from .quantifiers import quantify_batch
 from .shift import (ShiftSample, generate_sbm, sample_bfs, sample_pps, sample_rw,
                     uniform_split)
 
 SIGNIFICANCE = 0.05
+
+logger = logging.getLogger(__name__)
 
 RESULT_FIELDS = ["dataset", "shift", "classifier", "quantifier", "repetition",
                  "sample_id", "sample_size", "ae", "rae", "flags"]
@@ -86,18 +89,17 @@ def welch_one_sided_pvalue(worse: np.ndarray, best: np.ndarray) -> float:
     """p-value for H1 'mean(worse) > mean(best)' under unequal variances.
 
     Degenerate inputs (no variance or a single observation) fall back to
-    comparing the means directly: equal means cannot be rejected.
+    comparing the means directly: equal means give 0.5, as a t statistic of
+    0 would.
     """
     worse = np.asarray(worse, dtype=np.float64)
     best = np.asarray(best, dtype=np.float64)
     n1, n2 = len(worse), len(best)
     mean_diff = worse.mean() - best.mean()
-    if n1 < 2 or n2 < 2:
-        return 1.0 if mean_diff <= 0 else (0.5 if mean_diff == 0 else 0.0)
-    v1 = worse.var(ddof=1) / n1
-    v2 = best.var(ddof=1) / n2
+    v1 = worse.var(ddof=1) / n1 if n1 >= 2 else 0.0
+    v2 = best.var(ddof=1) / n2 if n2 >= 2 else 0.0
     pooled = v1 + v2
-    if pooled == 0.0:
+    if n1 < 2 or n2 < 2 or pooled == 0.0:
         return 0.5 if mean_diff == 0 else (0.0 if mean_diff > 0 else 1.0)
     t = mean_diff / math.sqrt(pooled)
     dof = pooled ** 2 / (v1 ** 2 / (n1 - 1) + v2 ** 2 / (n2 - 1))
@@ -148,7 +150,11 @@ def draw_samples(shift_cfg, g: Graph, pool_vertices, pool_labels, seed: int,
 def run_experiment(cfg: ExperimentConfig, write_csv: bool = True) -> list[ResultRow]:
     """Run the full protocol: split, fit classifiers, draw shifted samples,
     quantify every sample with every quantifier, score against the realized
-    sample histogram."""
+    sample histogram.
+
+    Classifier predictions and importance-weight kernels depend only on the
+    repetition's split, so each is built once per repetition and shared by
+    all shifts."""
     g = load_dataset(cfg)
     if g.labels is None:
         raise DataError("experiments need a labeled graph")
@@ -161,6 +167,9 @@ def run_experiment(cfg: ExperimentConfig, write_csv: bool = True) -> list[Result
         quant_labels = g.labels[quant_train]
         pool = split.test
         pool_labels = g.labels[pool]
+        preds_per_clf = [fit_classifier(clf_cfg, g, clf_train, g.labels[clf_train])
+                         for clf_cfg in cfg.classifiers]
+        weight_cache: dict = {}
         for shift_idx, shift_cfg in enumerate(cfg.shifts):
             samples = draw_samples(shift_cfg, g, pool, pool_labels,
                                    seed=_derive_seed(cfg.seed, 1, rep, shift_idx),
@@ -170,25 +179,27 @@ def run_experiment(cfg: ExperimentConfig, write_csv: bool = True) -> list[Result
                 realized = np.bincount(g.labels[s.vertices], minlength=K) / len(s.vertices)
                 if not np.array_equal(realized, s.true_prev):
                     raise DataError("sample ground truth does not match its histogram")
-            for clf_cfg in cfg.classifiers:
-                preds = fit_classifier(clf_cfg, g, clf_train, g.labels[clf_train])
+            for clf_cfg, preds in zip(cfg.classifiers, preds_per_clf):
                 for quant_cfg in cfg.quantifiers:
                     rows.extend(_score_quantifier(
                         cfg, g, quant_cfg, clf_cfg, shift_cfg, rep, samples,
-                        quant_train, quant_labels, preds))
+                        quant_train, quant_labels, preds, weight_cache))
     if write_csv:
         write_results_csv(rows, cfg.output)
     return rows
 
 
 def _score_quantifier(cfg, g, quant_cfg, clf_cfg, shift_cfg, rep, samples,
-                      quant_train, quant_labels, preds) -> list[ResultRow]:
+                      quant_train, quant_labels, preds, weight_cache) -> list[ResultRow]:
     common = dict(dataset=cfg.dataset.name, shift=shift_cfg.name,
                   classifier=clf_cfg.name, quantifier=quant_cfg.name, repetition=rep)
     try:
         estimates = quantify_batch(quant_cfg.spec, g, quant_train, quant_labels,
-                                   [s.vertices for s in samples], preds)
-    except Exception as exc:  # record the failure, keep the run going
+                                   [s.vertices for s in samples], preds,
+                                   weight_cache=weight_cache)
+    except GraphQuantError as exc:  # record the failure, keep the run going
+        logger.warning("%s failed on shift %s, classifier %s, repetition %d: %s",
+                       quant_cfg.name, shift_cfg.name, clf_cfg.name, rep, exc)
         return [ResultRow(**common, sample_id=i, sample_size=len(s.vertices),
                           ae=None, rae=None,
                           flags=("error:" + type(exc).__name__,))

@@ -1,6 +1,6 @@
 """Vertex kernels backing the kernel-density weights: teleporting random-walk
-(PPR) in dense and pruned-sparse form, shortest-path, feature inner-product,
-and the constant kernel.
+(PPR) rows computed exactly or through a pruned-sparse matrix, shortest-path,
+feature inner-product, and the constant kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ class KernelSpec:
     walk probability is entry (v, v') of (alpha*I + (1-alpha)*Abar)^walk_len.
     kind "sp" evaluates exp(-gamma * hops), 0 for disconnected pairs.
     kind "feature" evaluates max(0, <x_v, x_v'>); "constant" is all ones.
+    PPR mode "dense" computes only the needed rows exactly; "sparse" goes
+    through the pruned-sparse matrix with prune_threshold.
     """
     kind: str
     alpha: float = DEFAULT_ALPHA
@@ -150,6 +152,24 @@ def ppr_matrix_sparse_pruned(g: Graph, alpha: float, walk_len: int,
     return result
 
 
+def ppr_matrix_rows(g: Graph, alpha: float, walk_len: int, rows) -> np.ndarray:
+    """Rows `rows` of the walk-probability matrix, shape (len(rows), n).
+
+    Runs walk_len steps R <- alpha*R + (1-alpha)*(Abar^T R) on the n x len(rows)
+    indicator block, so only sparse x dense products are formed, never the
+    n x n matrix. Equals ppr_matrix_dense(g, alpha, walk_len)[rows] up to
+    floating-point rounding.
+    """
+    _check_ppr_params(alpha, walk_len)
+    rows = np.asarray(rows, dtype=np.int64)
+    abar_t = normalized_adjacency_sparse(g).T.tocsr()
+    block = np.zeros((g.n, len(rows)))
+    block[rows, np.arange(len(rows))] = 1.0
+    for _ in range(walk_len):
+        block = alpha * block + (1.0 - alpha) * (abar_t @ block)
+    return np.ascontiguousarray(block.T)
+
+
 def evaluate_kernel(spec: KernelSpec, g: Graph, rows, cols) -> KernelMatrix:
     """Evaluate k(rows[i], cols[j]) for every pair; rows are the density-query
     vertices, cols the sample vertices."""
@@ -168,7 +188,7 @@ def make_evaluator(spec: KernelSpec, g: Graph, rows):
         return lambda cols: np.ones((len(rows), len(cols)), dtype=np.float64)
     if spec.kind == PPR:
         if spec.mode == DENSE:
-            pi_rows = ppr_matrix_dense(g, spec.alpha, spec.walk_len)[rows, :]
+            pi_rows = ppr_matrix_rows(g, spec.alpha, spec.walk_len, rows)
         else:
             pi = ppr_matrix_sparse_pruned(g, spec.alpha, spec.walk_len, spec.prune_threshold)
             pi_rows = np.asarray(pi[rows, :].todense())

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import _infer_num_classes
 from .errors import ConfigError
 from .estimation import (HARD, SOFT, PredictionSet, confusion_estimate, density_ratio,
                          kde_density, nacc_confusion_estimate, nacc_prevalence,
@@ -72,14 +73,6 @@ def _mode(spec: QuantifierSpec) -> str:
     return SOFT if spec.probabilistic else HARD
 
 
-def _num_classes(g: Graph, train_labels, preds: PredictionSet | None) -> int:
-    if preds is not None:
-        return preds.K
-    if g.labels is not None:
-        return g.num_classes
-    return int(np.max(train_labels)) + 1
-
-
 class _WeightContext:
     """Per-(spec, graph, train) resources for importance weights, so batch
     runs reuse kernel matrices and the training-density estimate."""
@@ -112,13 +105,19 @@ def quantify(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
 
 
 def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
-                   samples, preds: PredictionSet | None = None) -> list[PrevalenceVector]:
+                   samples, preds: PredictionSet | None = None,
+                   weight_cache: dict | None = None) -> list[PrevalenceVector]:
     """Quantify many test samples; kernel matrices and the training-density
-    estimate are computed once and shared across samples."""
+    estimate are computed once and shared across samples.
+
+    A caller that quantifies several batches on the same graph and training
+    vertices can pass one `weight_cache` dict to all of them; the weight
+    resources are then built once per (kernel_q, kernel_p) pair and reused.
+    """
     train_vertices = np.asarray(train_vertices, dtype=np.int64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
     samples = [np.asarray(s, dtype=np.int64) for s in samples]
-    K = _num_classes(g, train_labels, preds)
+    K = _infer_num_classes(g, train_labels, preds.K if preds is not None else None)
 
     if spec.base == MLPE:
         if len(train_labels) == 0:
@@ -134,7 +133,12 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
         return [PrevalenceVector(q=prevalence_vector(preds, s, mode), K=K, spec=spec)
                 for s in samples]
 
-    context = _WeightContext(spec, g, train_vertices)
+    if weight_cache is None:
+        weight_cache = {}
+    key = (spec.kernel_q, spec.kernel_p)
+    if key not in weight_cache:
+        weight_cache[key] = _WeightContext(spec, g, train_vertices)
+    context = weight_cache[key]
     results = []
     for s in samples:
         weights = context.weights_for(s)

@@ -2,6 +2,7 @@ import json
 
 import yaml
 
+from graphquant import harness
 from graphquant.cli import load_split, main
 from graphquant.graph import load_graph
 
@@ -156,6 +157,12 @@ class TestExperimentAndAggregate:
         other = tmp_path / "other.csv"
         assert run("experiment", "--config", cfg, "--out", other) == 0
         assert other.exists()
+
+    def test_internal_error_in_quantifier_is_three(self, tmp_path, monkeypatch):
+        def buggy(*args, **kwargs):
+            raise RuntimeError("bug")
+        monkeypatch.setattr(harness, "quantify_batch", buggy)
+        assert run("experiment", "--config", self.write_config(tmp_path)) == 3
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphquant.errors import DataError
 from graphquant.graph import (Graph, UNREACHABLE, bfs_distances, connected_components,
@@ -15,6 +17,48 @@ def random_graph(n, p, seed, labels=False):
     if labs is not None and labs.max() == 0:
         labs[0] = 1
     return Graph.from_edges(n, edges, labels=labs)
+
+
+@st.composite
+def small_graphs(draw, max_n=24):
+    """Random small graphs with isolated vertices and several components:
+    edges only join vertices in the same residue class mod `parts`, and the
+    last `isolated` vertices get no edges at all."""
+    n = draw(st.integers(1, max_n))
+    parts = draw(st.integers(1, 4))
+    live = n - draw(st.integers(0, n // 3))
+    vertex = st.integers(0, max(live - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    return Graph.from_edges(n, [(u, v) for u, v in pairs if u % parts == v % parts])
+
+
+def frontier_bfs(g, s):
+    """Level-synchronous Python BFS: the oracle for bfs_distances."""
+    dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
+    dist[s] = 0
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if dist[w] == UNREACHABLE:
+                    dist[w] = d
+                    nxt.append(int(w))
+        frontier = nxt
+    return dist
+
+
+def smallest_vertex_first_components(g):
+    """Component ids numbered in order of each component's smallest vertex."""
+    comp = np.full(g.n, -1, dtype=np.int64)
+    next_id = 0
+    for v in range(g.n):
+        if comp[v] == -1:
+            comp[frontier_bfs(g, v) != UNREACHABLE] = next_id
+            next_id += 1
+    return comp
 
 
 def floyd_warshall(g):
@@ -126,6 +170,19 @@ class TestBfs:
             got = np.where(row.dist == UNREACHABLE, np.inf, row.dist.astype(float))
             assert np.array_equal(got, oracle[row.source])
 
+    def test_no_sources(self):
+        assert bfs_distances(random_graph(5, 0.5, seed=1), []) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs())
+    def test_bit_identical_to_frontier_oracle(self, g):
+        rows = bfs_distances(g, range(g.n))
+        assert [r.source for r in rows] == list(range(g.n))
+        for row in rows:
+            expected = frontier_bfs(g, row.source)
+            assert row.dist.dtype == expected.dtype
+            assert np.array_equal(row.dist, expected)
+
     def test_matches_matrix_power_reachability(self):
         g = random_graph(25, 0.1, seed=11)
         a = g.adjacency_csr().toarray()
@@ -157,6 +214,13 @@ class TestComponents:
     def test_triangle_plus_isolated(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
         assert list(connected_components(g)) == [0, 0, 0, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs())
+    def test_smallest_vertex_first_labelling(self, g):
+        comp = connected_components(g)
+        assert comp.dtype == np.int64
+        assert np.array_equal(comp, smallest_vertex_first_components(g))
 
     def test_union_find_oracle(self):
         g = random_graph(60, 0.03, seed=13)

@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from graphquant import harness, quantifiers
 from graphquant.config import parse_config
 from graphquant.errors import DataError
 from graphquant.harness import (ResultRow, ae, aggregate, rae, read_results_csv,
@@ -96,6 +99,12 @@ class TestWelch:
         assert welch_one_sided_pvalue(worse, best) == 0.0
         assert welch_one_sided_pvalue(best, worse) == 1.0
         assert welch_one_sided_pvalue(best, best.copy()) == 0.5
+
+    def test_single_observation_equal_means_give_half(self):
+        assert welch_one_sided_pvalue(np.array([0.3]), np.array([0.3])) == 0.5
+        assert welch_one_sided_pvalue(np.array([0.25]), np.array([0.0, 0.25, 0.5])) == 0.5
+        assert welch_one_sided_pvalue(np.array([0.4]), np.array([0.3])) == 0.0
+        assert welch_one_sided_pvalue(np.array([0.2]), np.array([0.3])) == 1.0
 
 
 class TestAggregate:
@@ -240,3 +249,65 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         accs = [r.ae for r in rows if r.quantifier == "acc"]
         assert np.mean(accs) < 1e-9  # perfect predictions leave nothing to adjust
+
+
+SIS_PPR = {"name": "acc+sis", "base": "acc", "kernel_q": {"kind": "ppr"}}
+
+
+class TestHoisting:
+    def hoisting_config(self, tmp_path):
+        return base_config(
+            tmp_path,
+            classifiers=[{"name": "enq", "kind": "enq"},
+                         {"name": "lp", "kind": "label_prop", "iterations": 5}],
+            quantifiers=[{"name": "acc", "base": "acc"}, SIS_PPR],
+            shifts=[{"name": "pps", "kind": "pps", "n": 20, "num_dists": 2},
+                    {"name": "rw", "kind": "rw", "n": 20, "seeds_per_label": 1}],
+            repetitions=2)
+
+    def test_kernels_and_fits_built_once_per_repetition(self, tmp_path, monkeypatch):
+        calls = {"make_evaluator": 0, "fit_classifier": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(quantifiers, "make_evaluator")
+        counting(harness, "fit_classifier")
+        run_experiment(self.hoisting_config(tmp_path), write_csv=False)
+        # per repetition: kernel_q and the default constant kernel_p; one fit per classifier
+        assert calls == {"make_evaluator": 2 * 2, "fit_classifier": 2 * 2}
+
+    def test_rows_equal_unhoisted_run(self, tmp_path, monkeypatch):
+        cfg = self.hoisting_config(tmp_path)
+        hoisted = run_experiment(cfg, write_csv=False)
+        original = harness.quantify_batch
+
+        def without_cache(*args, weight_cache=None, **kwargs):
+            return original(*args, **kwargs)
+        monkeypatch.setattr(harness, "quantify_batch", without_cache)
+        assert run_experiment(cfg, write_csv=False) == hoisted
+
+
+class TestQuantifierErrors:
+    def test_package_error_gives_error_rows(self, tmp_path, monkeypatch, caplog):
+        def failing(*args, **kwargs):
+            raise DataError("weights degenerate")
+        monkeypatch.setattr(harness, "quantify_batch", failing)
+        with caplog.at_level(logging.WARNING, logger="graphquant.harness"):
+            rows = run_experiment(base_config(tmp_path), write_csv=False)
+        assert len(rows) == 8
+        assert all(r.ae is None and r.rae is None and r.flags == ("error:DataError",)
+                   for r in rows)
+        assert "weights degenerate" in caplog.text
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        def buggy(*args, **kwargs):
+            raise RuntimeError("bug")
+        monkeypatch.setattr(harness, "quantify_batch", buggy)
+        with pytest.raises(RuntimeError):
+            run_experiment(base_config(tmp_path), write_csv=False)

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphquant import kernels
 from graphquant.errors import ConfigError
 from graphquant.graph import Graph
 from graphquant.kernels import (KernelSpec, evaluate_kernel, normalized_adjacency_dense,
-                                ppr_matrix_dense, ppr_matrix_sparse_pruned)
+                                ppr_matrix_dense, ppr_matrix_rows, ppr_matrix_sparse_pruned)
 
-from test_graph import random_graph
+from test_graph import random_graph, small_graphs
 
 
 def two_path():
@@ -77,6 +80,35 @@ class TestPprSparsePruned:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
             ppr_matrix_sparse_pruned(two_path(), 0.1, 1, -0.1)
+
+
+class TestPprRows:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), g=small_graphs(),
+           alpha=st.floats(0.01, 0.99), walk_len=st.integers(0, 12))
+    def test_matches_dense_oracle_rows(self, data, g, alpha, walk_len):
+        rows = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+        got = ppr_matrix_rows(g, alpha, walk_len, rows)
+        assert got.shape == (len(rows), g.n)
+        assert np.allclose(got, ppr_matrix_dense(g, alpha, walk_len)[rows],
+                           rtol=0.0, atol=1e-12)
+
+    def test_zero_steps_is_indicator(self):
+        g = random_graph(6, 0.4, seed=3)
+        assert np.array_equal(ppr_matrix_rows(g, 0.2, 0, [4, 1]), np.eye(6)[[4, 1]])
+
+    def test_alpha_out_of_range(self):
+        with pytest.raises(ConfigError):
+            ppr_matrix_rows(two_path(), alpha=1.0, walk_len=1, rows=[0])
+
+    def test_dense_mode_never_builds_full_matrix(self, monkeypatch):
+        def full_matrix(*args):
+            raise AssertionError("n x n walk matrix built")
+        monkeypatch.setattr(kernels, "ppr_matrix_dense", full_matrix)
+        monkeypatch.setattr(kernels, "normalized_adjacency_dense", full_matrix)
+        g = random_graph(20, 0.2, seed=9)
+        km = evaluate_kernel(KernelSpec.ppr(interp=1.0), g, [3, 0], range(20))
+        assert km.values.shape == (2, 20)
 
 
 class TestEvaluateKernel:
