@@ -95,49 +95,63 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
     Soft rows whose sum is off by at most 1e-6 are renormalized; anything
     further from the simplex is rejected.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            rows.append((lineno, line.split(",")))
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [line for line in text.split("\n") if line.strip()]
     if len(rows) != n:
         raise DataError(f"{path}: expected {n} prediction rows, got {len(rows)}")
     if n == 0:
         return PredictionSet.from_hard(np.empty(0, dtype=np.int64), K)
-    arity = len(rows[0][1])
-    if arity == 1:
-        hard = np.empty(n, dtype=np.int64)
-        for idx, (lineno, toks) in enumerate(rows):
-            if len(toks) != 1:
-                raise DataError(f"{path}:{lineno}: expected a single label")
-            try:
-                hard[idx] = int(toks[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: expected an integer label, got {toks[0]!r}")
-            if not 0 <= hard[idx] < K:
-                raise DataError(f"{path}:{lineno}: label {hard[idx]} out of range for K={K}")
-        return PredictionSet.from_hard(hard, K)
-    if arity != K:
+    arity = rows[0].count(",") + 1
+    if arity not in (1, K):
         raise DataError(f"{path}: rows must have 1 or {K} columns, got {arity}")
-    soft = np.empty((n, K))
-    for idx, (lineno, toks) in enumerate(rows):
+    try:
+        values = np.loadtxt(rows, dtype=np.int64 if arity == 1 else np.float64,
+                            delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _prediction_row_error(path, text, K, exc) from None
+    if arity == 1:
+        if not ((values < 0) | (values >= K)).any():
+            return PredictionSet.from_hard(values.ravel(), K)
+    else:
+        sums = values.sum(axis=1)
+        off = np.abs(sums - 1.0)
+        if not (values < 0).any() and not (off > 1e-6).any():
+            renorm = off > 1e-12
+            values[renorm] /= sums[renorm, None]
+            return PredictionSet.from_soft(values)
+    raise _prediction_row_error(path, text, K, None)
+
+
+def _prediction_row_error(path, text: str, K: int, exc) -> DataError:
+    """The error for the first offending row of a rejected predictions file;
+    the file is only scanned row by row here."""
+    numbered = [(lineno, line.strip()) for lineno, line in enumerate(text.split("\n"), start=1)
+                if line.strip()]
+    hard = "," not in numbered[0][1]
+    for lineno, line in numbered:
+        toks = line.split(",")
+        if hard:
+            if len(toks) != 1:
+                return DataError(f"{path}:{lineno}: expected a single label")
+            try:
+                label = int(toks[0])
+            except ValueError:
+                return DataError(f"{path}:{lineno}: expected an integer label, got {toks[0]!r}")
+            if not 0 <= label < K:
+                return DataError(f"{path}:{lineno}: label {label} out of range for K={K}")
+            continue
         if len(toks) != K:
-            raise DataError(f"{path}:{lineno}: expected {K} columns, got {len(toks)}")
+            return DataError(f"{path}:{lineno}: expected {K} columns, got {len(toks)}")
         try:
             row = np.asarray([float(t) for t in toks])
         except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric probability")
+            return DataError(f"{path}:{lineno}: non-numeric probability")
         if row.min() < 0:
-            raise DataError(f"{path}:{lineno}: negative probability")
+            return DataError(f"{path}:{lineno}: negative probability")
         s = row.sum()
         if abs(s - 1.0) > 1e-6:
-            raise DataError(f"{path}:{lineno}: probabilities sum to {s:.8f}, not 1")
-        if abs(s - 1.0) > 1e-12:
-            row = row / s
-        soft[idx] = row
-    return PredictionSet.from_soft(soft)
+            return DataError(f"{path}:{lineno}: probabilities sum to {s:.8f}, not 1")
+    return DataError(f"{path}: cannot parse prediction rows: {exc}")
 
 
 def save_predictions(preds: PredictionSet, path) -> None:

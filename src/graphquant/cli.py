@@ -23,7 +23,7 @@ from .classifiers import enq_predict, label_prop_predict, save_predictions, load
 from .config import (DEFAULT_FRACTIONS, DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS,
                      load_config, parse_quantifier_spec)
 from .errors import ConfigError, DataError
-from .graph import Graph, load_graph, save_graph
+from .graph import Graph, check_vertex_ids, load_graph, save_graph
 from .quantifiers import quantify
 from .shift import (DEFAULT_RW_ALPHA, DEFAULT_RW_WALK_LEN, DEFAULT_SAMPLE_SIZE,
                     DEFAULT_SEEDS_PER_LABEL, DEFAULT_ZIPF_EXPONENT, SplitSpec,
@@ -55,8 +55,10 @@ def save_split(split: SplitSpec, path) -> None:
                 writer.writerow([int(v), role])
 
 
-def load_split(path) -> SplitSpec:
-    parts: dict[str, list[int]] = {role: [] for role in SPLIT_ROLES}
+def load_split(path, n: int | None = None) -> SplitSpec:
+    """Read a split file; ids must lie in 0..n-1 (n given) and each vertex may
+    appear in at most one role, once."""
+    parts: dict[str, list[str]] = {role: [] for role in SPLIT_ROLES}
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != ["vertex", "role"]:
@@ -65,8 +67,13 @@ def load_split(path) -> SplitSpec:
             role = rec["role"]
             if role not in parts:
                 raise DataError(f"{path}: unknown split role {role!r}")
-            parts[role].append(int(rec["vertex"]))
-    return SplitSpec(*(np.asarray(sorted(parts[role]), dtype=np.int64) for role in SPLIT_ROLES))
+            parts[role].append(rec["vertex"])
+    roles = [np.sort(check_vertex_ids(parts[role], n, f"{path}: {role}")) for role in SPLIT_ROLES]
+    every = np.sort(np.concatenate(roles))
+    repeated = every[1:][every[1:] == every[:-1]]
+    if repeated.size:
+        raise DataError(f"{path}: vertex {repeated[0]} is listed more than once")
+    return SplitSpec(*roles)
 
 
 def cmd_gen_graph(args) -> int:
@@ -91,7 +98,7 @@ def cmd_sample_shift(args) -> int:
     g = _load_graph_args(args)
     if g.labels is None:
         raise DataError("shift sampling needs a labels file")
-    split = load_split(args.split)
+    split = load_split(args.split, g.n)
     pool = split.test
     shift_cfg = config_mod.ShiftConfig(
         name=args.kind, kind=args.kind, n=args.n,
@@ -109,7 +116,7 @@ def cmd_classify(args) -> int:
     g = _load_graph_args(args)
     if g.labels is None:
         raise DataError("classification needs a labels file")
-    split = load_split(args.split)
+    split = load_split(args.split, g.n)
     train = split.classifier_train
     if args.variant == "enq":
         preds = enq_predict(g, train, g.labels[train])
@@ -125,20 +132,19 @@ def cmd_quantify(args) -> int:
     g = _load_graph_args(args)
     if g.labels is None:
         raise DataError("quantification needs a labels file")
-    split = load_split(args.split)
+    split = load_split(args.split, g.n)
     train = split.quantifier_train
     preds = load_predictions(args.preds, g.n, g.num_classes) if args.preds else None
     spec = parse_quantifier_spec(yaml.safe_load(args.quantifier) or {})
     if args.sample_index is not None:
-        sections = load_sample_sections(args.test)
+        sections = load_sample_sections(args.test, g.n)
         if not 0 <= args.sample_index < len(sections):
             raise DataError(f"sample index {args.sample_index} out of range "
                             f"({len(sections)} samples in {args.test})")
         test_vertices = sections[args.sample_index][1]
     else:
-        text = Path(args.test).read_text(encoding="utf-8")
-        test_vertices = np.asarray([int(line) for line in text.split() if line],
-                                   dtype=np.int64)
+        test_vertices = check_vertex_ids(Path(args.test).read_text(encoding="utf-8").split(),
+                                         g.n, args.test, nonempty=True)
     est = quantify(spec, g, train, g.labels[train], test_vertices, preds)
     payload = {"quantifier": spec.name, "K": est.K,
                "prevalences": [float(x) for x in est.q],

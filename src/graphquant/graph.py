@@ -7,6 +7,7 @@ lists sorted ascending, no duplicates and no self-loops.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -44,15 +45,13 @@ class Graph:
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise DataError(f"edge endpoint out of range for n={n}")
         edges = edges[edges[:, 0] != edges[:, 1]]
-        both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-        if both.size:
-            both = np.unique(both, axis=0)
-        u, v = both[:, 0], both[:, 1]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, u + 1, 1)
-        indptr = np.cumsum(indptr)
-        # rows already sorted by (u, v) thanks to np.unique
-        return cls(n=int(n), indptr=indptr, indices=v.astype(np.int64),
+        # one int64 key u*n+v per direction; sorted, so rows come out grouped by u
+        # with ascending neighbors, and duplicates are adjacent
+        keys = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+        keys.sort()
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])] if keys.size else keys
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        return cls(n=int(n), indptr=indptr.astype(np.int64), indices=keys % n,
                    labels=_validate_labels(labels, n),
                    features=_validate_features(features, n))
 
@@ -88,6 +87,34 @@ class DistanceRow:
     """Hop distances from one source vertex; UNREACHABLE marks no path."""
     source: int
     dist: np.ndarray  # int32, shape (n,)
+
+
+def check_vertex_ids(ids, n: int | None, what: str = "vertex ids",
+                     nonempty: bool = False) -> np.ndarray:
+    """`ids` as an int64 array, checked at the boundary: every id must be an
+    integer (or a string that spells one) in 0..n-1, or only >= 0 when n is
+    None, and the list must not be empty when `nonempty` is set. Raises
+    DataError otherwise, so no id wraps around or fails later as an index."""
+    arr = np.asarray(ids)
+    if arr.size == 0:
+        if nonempty:
+            raise DataError(f"{what}: no vertex ids")
+        return np.empty(0, dtype=np.int64)
+    if arr.ndim != 1:
+        raise DataError(f"{what}: expected a flat list of vertex ids, got shape {arr.shape}")
+    if arr.dtype.kind in "US":
+        try:
+            arr = arr.astype(np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{what}: non-integer vertex id ({exc})") from None
+    if arr.dtype.kind not in "iu":
+        raise DataError(f"{what}: vertex ids must be integers, got dtype {arr.dtype}")
+    lo, hi = arr.min(), arr.max()
+    if lo < 0:
+        raise DataError(f"{what}: negative vertex id {lo}")
+    if n is not None and hi >= n:
+        raise DataError(f"{what}: vertex id {hi} out of range for n={n}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _validate_labels(labels, n):
@@ -153,7 +180,22 @@ def save_graph(g: Graph, edge_path, labels_path=None, features_path=None) -> Non
 
 
 def _parse_edge_file(path) -> np.ndarray:
-    edges = []
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without edges is valid
+            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except ValueError as exc:
+        raise _edge_line_error(path, exc) from None
+    if edges.size == 0:
+        return edges.reshape(0, 2)
+    if edges.shape[1] != 2 or edges.min() < 0:
+        raise _edge_line_error(path, None)
+    return edges
+
+
+def _edge_line_error(path, exc) -> DataError:
+    """The error for the first line of a rejected edge file that is not a
+    non-negative 'u v' pair; the file is only scanned line by line here."""
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -161,15 +203,14 @@ def _parse_edge_file(path) -> np.ndarray:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
+                return DataError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer vertex id in {raw.strip()!r}")
+                return DataError(f"{path}:{lineno}: non-integer vertex id in {raw.strip()!r}")
             if u < 0 or v < 0:
-                raise DataError(f"{path}:{lineno}: negative vertex id")
-            edges.append((u, v))
-    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+                return DataError(f"{path}:{lineno}: negative vertex id")
+    return DataError(f"{path}: {exc}")
 
 
 def _parse_labels_file(path) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .graph import Graph, UNREACHABLE, bfs_distances
 
 DEFAULT_ALPHA = 0.1       # teleport probability per walk step
@@ -152,22 +152,51 @@ def ppr_matrix_sparse_pruned(g: Graph, alpha: float, walk_len: int,
     return result
 
 
+def _walk(step_matrix, alpha: float, walk_len: int, x: np.ndarray) -> np.ndarray:
+    """walk_len steps x <- alpha*x + (1-alpha)*(step_matrix @ x)."""
+    for _ in range(walk_len):
+        x = alpha * x + (1.0 - alpha) * (step_matrix @ x)
+    return x
+
+
 def ppr_matrix_rows(g: Graph, alpha: float, walk_len: int, rows) -> np.ndarray:
     """Rows `rows` of the walk-probability matrix, shape (len(rows), n).
 
-    Runs walk_len steps R <- alpha*R + (1-alpha)*(Abar^T R) on the n x len(rows)
-    indicator block, so only sparse x dense products are formed, never the
-    n x n matrix. Equals ppr_matrix_dense(g, alpha, walk_len)[rows] up to
-    floating-point rounding.
+    Walks the n x len(rows) indicator block with Abar^T, so only sparse x dense
+    products are formed, never the n x n matrix. Equals
+    ppr_matrix_dense(g, alpha, walk_len)[rows] up to floating-point rounding.
     """
     _check_ppr_params(alpha, walk_len)
     rows = np.asarray(rows, dtype=np.int64)
     abar_t = normalized_adjacency_sparse(g).T.tocsr()
     block = np.zeros((g.n, len(rows)))
     block[rows, np.arange(len(rows))] = 1.0
-    for _ in range(walk_len):
-        block = alpha * block + (1.0 - alpha) * (abar_t @ block)
-    return np.ascontiguousarray(block.T)
+    return np.ascontiguousarray(_walk(abar_t, alpha, walk_len, block).T)
+
+
+def make_ppr_density(spec: KernelSpec, g: Graph, rows):
+    """Dense-mode PPR kernel density of each row vertex over a sample.
+
+    The returned callable maps sample vertices `cols` to
+    mean_c k(rows[i], c) = interp * (Pi u)[rows[i]] + (1 - interp), where u is
+    the sample's empirical distribution (duplicates count) and Pi the walk
+    matrix. That takes walk_len sparse mat-vecs per sample and builds no
+    len(rows) x n block; it equals make_evaluator(spec, g, rows)(cols).mean(axis=1)
+    up to floating-point rounding.
+    """
+    if spec.kind != PPR or spec.mode != DENSE:
+        raise ConfigError("make_ppr_density needs a dense-mode ppr kernel")
+    rows = np.asarray(rows, dtype=np.int64)
+    abar = normalized_adjacency_sparse(g)
+    lam = spec.interp
+
+    def density(cols):
+        cols = np.asarray(cols, dtype=np.int64)
+        if len(cols) == 0:
+            raise DataError("density estimate needs at least one sample vertex")
+        u = np.bincount(cols, minlength=g.n) / len(cols)
+        return lam * _walk(abar, spec.alpha, spec.walk_len, u)[rows] + (1.0 - lam)
+    return density
 
 
 def evaluate_kernel(spec: KernelSpec, g: Graph, rows, cols) -> KernelMatrix:

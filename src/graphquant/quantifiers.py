@@ -9,13 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimation
 from .classifiers import _infer_num_classes
 from .errors import ConfigError
 from .estimation import (HARD, SOFT, PredictionSet, confusion_estimate, density_ratio,
                          kde_density, nacc_confusion_estimate, nacc_prevalence,
                          prevalence_vector)
-from .graph import Graph
-from .kernels import KernelMatrix, KernelSpec, make_evaluator
+from .graph import Graph, check_vertex_ids
+from .kernels import DENSE, PPR, KernelMatrix, KernelSpec, make_evaluator, make_ppr_density
 from .solver import solve_simplex_lsq
 
 MLPE = "mlpe"
@@ -73,29 +74,32 @@ def _mode(spec: QuantifierSpec) -> str:
     return SOFT if spec.probabilistic else HARD
 
 
+def _density_fn(kernel: KernelSpec, g: Graph, rows: np.ndarray):
+    """Callable mapping sample vertices to the kernel density of each row vertex."""
+    if kernel.kind == PPR and kernel.mode == DENSE:
+        return make_ppr_density(kernel, g, rows)
+    evaluator = make_evaluator(kernel, g, rows)
+    return lambda cols: kde_density(KernelMatrix(rows=rows, cols=cols, values=evaluator(cols)))
+
+
 class _WeightContext:
     """Per-(spec, graph, train) resources for importance weights, so batch
-    runs reuse kernel matrices and the training-density estimate."""
+    runs reuse kernel resources and the training-density estimate."""
 
     def __init__(self, spec: QuantifierSpec, g: Graph, train_vertices: np.ndarray):
         self.train_vertices = train_vertices
         if not spec.uses_sis:
-            self.evaluator = None
+            self.q_density = None
             return
         kernel_q = spec.kernel_q if spec.kernel_q is not None else KernelSpec.constant()
         kernel_p = spec.kernel_p if spec.kernel_p is not None else KernelSpec.constant()
-        self.evaluator = make_evaluator(kernel_q, g, train_vertices)
-        p_values = make_evaluator(kernel_p, g, train_vertices)(train_vertices)
-        self.p_density = kde_density(
-            KernelMatrix(rows=train_vertices, cols=train_vertices, values=p_values))
+        self.q_density = _density_fn(kernel_q, g, train_vertices)
+        self.p_density = _density_fn(kernel_p, g, train_vertices)(train_vertices)
 
     def weights_for(self, test_vertices: np.ndarray) -> np.ndarray:
-        if self.evaluator is None:
+        if self.q_density is None:
             return np.ones(len(self.train_vertices))
-        q_values = self.evaluator(test_vertices)
-        q_density = kde_density(
-            KernelMatrix(rows=self.train_vertices, cols=test_vertices, values=q_values))
-        return density_ratio(q_density, self.p_density)
+        return density_ratio(self.q_density(test_vertices), self.p_density)
 
 
 def quantify(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
@@ -114,9 +118,9 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
     vertices can pass one `weight_cache` dict to all of them; the weight
     resources are then built once per (kernel_q, kernel_p) pair and reused.
     """
-    train_vertices = np.asarray(train_vertices, dtype=np.int64)
+    train_vertices = check_vertex_ids(train_vertices, g.n, "train vertices")
     train_labels = np.asarray(train_labels, dtype=np.int64)
-    samples = [np.asarray(s, dtype=np.int64) for s in samples]
+    samples = [check_vertex_ids(s, g.n, "test sample", nonempty=True) for s in samples]
     K = _infer_num_classes(g, train_labels, preds.K if preds is not None else None)
 
     if spec.base == MLPE:
@@ -139,13 +143,15 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
     if key not in weight_cache:
         weight_cache[key] = _WeightContext(spec, g, train_vertices)
     context = weight_cache[key]
+    # looked up on the module so that tracing and test doubles see the call
+    features = estimation.nacc_features(g, preds) if spec.nacc else None
     results = []
     for s in samples:
         weights = context.weights_for(s)
         if spec.nacc:
             est = nacc_confusion_estimate(g, preds, train_vertices, train_labels,
-                                          weights, mode)
-            est = est.with_prevalences(nacc_prevalence(g, preds, s, mode))
+                                          weights, mode, features=features)
+            est = est.with_prevalences(nacc_prevalence(g, preds, s, mode, features=features))
         else:
             est = confusion_estimate(preds, train_vertices, train_labels, weights, mode)
             est = est.with_prevalences(prevalence_vector(preds, s, mode))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph
+from .graph import Graph, check_vertex_ids
 
 DEFAULT_SAMPLE_SIZE = 100
 DEFAULT_SEEDS_PER_LABEL = 10
@@ -345,8 +345,9 @@ def _fmt_param(val):
     return str(val)
 
 
-def load_sample_sections(path) -> list[tuple[dict, np.ndarray]]:
-    """Parse a samples file back into (header fields, vertex ids) sections."""
+def load_sample_sections(path, n: int | None = None) -> list[tuple[dict, np.ndarray]]:
+    """Parse a samples file back into (header fields, vertex ids) sections;
+    ids must lie in 0..n-1 (n given)."""
     sections = []
     header = None
     vertices: list[int] = []
@@ -369,7 +370,8 @@ def load_sample_sections(path) -> list[tuple[dict, np.ndarray]]:
                     raise DataError(f"{path}:{lineno}: expected a vertex id, got {line!r}")
     if header is not None:
         sections.append((header, np.asarray(vertices, dtype=np.int64)))
-    return sections
+    return [(fields, check_vertex_ids(ids, n, f"{path}: sample {i}"))
+            for i, (fields, ids) in enumerate(sections)]
 
 
 def write_manifest(samples: list[ShiftSample], manifest_path, samples_path) -> None:

@@ -1,10 +1,98 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphquant.classifiers import (enq_predict, label_prop_predict, load_predictions,
                                     save_predictions)
 from graphquant.errors import DataError
+from graphquant.estimation import PredictionSet
 from graphquant.graph import Graph
+
+from test_graph import outcome
+
+
+def load_predictions_by_line(path, n, K):
+    """Line-by-line predictions parser: the oracle for load_predictions."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            rows.append((lineno, line.split(",")))
+    if len(rows) != n:
+        raise DataError(f"{path}: expected {n} prediction rows, got {len(rows)}")
+    if n == 0:
+        return PredictionSet.from_hard(np.empty(0, dtype=np.int64), K)
+    arity = len(rows[0][1])
+    if arity == 1:
+        hard = np.empty(n, dtype=np.int64)
+        for idx, (lineno, toks) in enumerate(rows):
+            if len(toks) != 1:
+                raise DataError(f"{path}:{lineno}: expected a single label")
+            try:
+                hard[idx] = int(toks[0])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected an integer label, got {toks[0]!r}")
+            if not 0 <= hard[idx] < K:
+                raise DataError(f"{path}:{lineno}: label {hard[idx]} out of range for K={K}")
+        return PredictionSet.from_hard(hard, K)
+    if arity != K:
+        raise DataError(f"{path}: rows must have 1 or {K} columns, got {arity}")
+    soft = np.empty((n, K))
+    for idx, (lineno, toks) in enumerate(rows):
+        if len(toks) != K:
+            raise DataError(f"{path}:{lineno}: expected {K} columns, got {len(toks)}")
+        try:
+            row = np.asarray([float(t) for t in toks])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric probability")
+        if row.min() < 0:
+            raise DataError(f"{path}:{lineno}: negative probability")
+        s = row.sum()
+        if abs(s - 1.0) > 1e-6:
+            raise DataError(f"{path}:{lineno}: probabilities sum to {s:.8f}, not 1")
+        if abs(s - 1.0) > 1e-12:
+            row = row / s
+        soft[idx] = row
+    return PredictionSet.from_soft(soft)
+
+
+@st.composite
+def soft_row(draw, K):
+    """K probabilities, sometimes off the simplex by 1e-9 or 1e-5, negative,
+    non-numeric, padded with blanks or with a column too many or too few."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=K, max_size=K))
+    weights[0] += 1
+    probs = [w / sum(weights) for w in weights]
+    probs[0] += draw(st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 1e-5, -2.0]))
+    toks = [repr(p) for p in probs]
+    edit = draw(st.sampled_from(["none", "none", "none", "pad", "abc", "extra", "drop"]))
+    if edit == "pad":
+        toks = [f" {t}\t" for t in toks]
+    elif edit == "abc":
+        toks[-1] = "abc"
+    elif edit == "extra":
+        toks.append("0.0")
+    elif edit == "drop":
+        toks.pop()
+    return ",".join(toks)
+
+
+@st.composite
+def prediction_files(draw):
+    """(lines, n, K) for a hard or soft predictions file with blank lines and
+    malformed rows mixed in; n is sometimes off by one."""
+    K = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        row = st.sampled_from(["0", "1", str(K - 1), str(K), "-1", " 1 ", "x", "1.0", "0,1"])
+    else:
+        row = soft_row(K)
+    rows = draw(st.lists(st.one_of(row, row, row, st.sampled_from(["", "  ", "\t"])),
+                         max_size=8))
+    n = sum(bool(r.strip()) for r in rows) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return rows, max(n, 0), K
 
 
 class TestEnq:
@@ -126,6 +214,23 @@ class TestPredictionFiles:
         path.write_text("0\n5\n")
         with pytest.raises(DataError, match=":2"):
             load_predictions(path, n=2, K=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=prediction_files())
+    def test_accepts_and_rejects_like_line_oracle(self, tmp_path_factory, case):
+        lines, n, K = case
+        path = tmp_path_factory.mktemp("preds") / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = outcome(load_predictions, path, n, K)
+        want = outcome(load_predictions_by_line, path, n, K)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got.K == want.K and np.array_equal(got.hard, want.hard)
+            assert (got.soft is None) == (want.soft is None)
+            if want.soft is not None:
+                assert np.array_equal(got.soft, want.soft)
 
     def test_round_trip_soft(self, tmp_path):
         rng = np.random.default_rng(2)

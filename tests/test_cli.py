@@ -1,9 +1,11 @@
 import json
 
+import pytest
 import yaml
 
 from graphquant import harness
 from graphquant.cli import load_split, main
+from graphquant.errors import DataError
 from graphquant.graph import load_graph
 
 
@@ -121,6 +123,51 @@ class TestQuantify:
         assert run("quantify", "--edges", edges, "--labels", labels, "--split", split,
                    "--quantifier", "{base: mlpe}", "--test", samples,
                    "--sample-index", 99) == 2
+
+
+class TestVertexIdFiles:
+    def quantify_files(self, tmp_path):
+        """A 60-vertex graph with split and predictions files."""
+        edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+        assert run("gen-graph", "--blocks", "30,30", "--p-in", "0.3", "--p-out", "0.05",
+                   "--out-edges", edges, "--out-labels", labels) == 0
+        split, preds = tmp_path / "split.csv", tmp_path / "preds.csv"
+        run("split", "--edges", edges, "--labels", labels, "--out", split)
+        run("classify", "--edges", edges, "--labels", labels, "--split", split,
+            "--out", preds)
+        return ["--edges", edges, "--labels", labels, "--split", split, "--preds", preds]
+
+    # each of these exited 3 (99, abc) or 0 with wrapped ids (-1) before
+    @pytest.mark.parametrize("content", ["99\n", "abc\n", "-1\n", "\n"])
+    def test_bad_test_file_is_data_error(self, tmp_path, content, capsys):
+        args = self.quantify_files(tmp_path)
+        test_ids = tmp_path / "test.txt"
+        test_ids.write_text(content)
+        assert run("quantify", *args, "--test", test_ids) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_sample_section_out_of_range(self, tmp_path):
+        args = self.quantify_files(tmp_path)
+        samples = tmp_path / "samples.txt"
+        samples.write_text("sampler=pps,seed=0,n=2,flagged=0\n3\n60\n")
+        assert run("quantify", *args, "--test", samples, "--sample-index", 0) == 2
+
+    @pytest.mark.parametrize("rows", [["3,test", "-1,test"], ["3,test", "70,classifier_train"],
+                                      ["3,test", "3,quantifier_train"], ["3,test", "3,test"],
+                                      ["x,test"]])
+    def test_load_split_rejects(self, tmp_path, rows):
+        path = tmp_path / "split.csv"
+        path.write_text("vertex,role\n" + "".join(r + "\n" for r in rows))
+        with pytest.raises(DataError):
+            load_split(path, n=60)
+
+    def test_split_file_out_of_range_exits_2(self, tmp_path):
+        args = self.quantify_files(tmp_path)
+        split = args[args.index("--split") + 1]
+        split.write_text(split.read_text() + "99,test\n")
+        test_ids = tmp_path / "test.txt"
+        test_ids.write_text("1\n2\n")
+        assert run("quantify", *args, "--test", test_ids) == 2
 
 
 class TestExperimentAndAggregate:

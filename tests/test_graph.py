@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphquant.errors import DataError
-from graphquant.graph import (Graph, UNREACHABLE, bfs_distances, connected_components,
-                              load_graph, save_graph)
+from graphquant.graph import (Graph, UNREACHABLE, _parse_edge_file, bfs_distances,
+                              check_vertex_ids, connected_components, load_graph, save_graph)
 
 
 def random_graph(n, p, seed, labels=False):
@@ -30,6 +30,64 @@ def small_graphs(draw, max_n=24):
     vertex = st.integers(0, max(live - 1, 0))
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
     return Graph.from_edges(n, [(u, v) for u, v in pairs if u % parts == v % parts])
+
+
+def unique_rows_csr(n, edges):
+    """CSR arrays by row-wise np.unique over both directions: the oracle for
+    Graph.from_edges."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    both = np.concatenate([edges, edges[:, ::-1]], axis=0)
+    if both.size:
+        both = np.unique(both, axis=0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, both[:, 0] + 1, 1)
+    return np.cumsum(indptr), both[:, 1].astype(np.int64)
+
+
+def parse_edges_by_line(path):
+    """Line-by-line edge parser: the oracle for _parse_edge_file."""
+    edges = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-integer vertex id in {raw.strip()!r}")
+            if u < 0 or v < 0:
+                raise DataError(f"{path}:{lineno}: negative vertex id")
+            edges.append((u, v))
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def outcome(parse, *args):
+    """The parsed value, or the message of the DataError the parser raised."""
+    try:
+        return parse(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_file_lines(draw):
+    """Edge-file lines mixing valid pairs with comments, blank lines, tabs,
+    negative ids, wrong column counts and non-integer tokens."""
+    token = st.sampled_from(["0", "1", "3", "17", "+2", "-1", "x", "1.5", "07"])
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    pair = st.tuples(token, sep, token).map("".join)
+    line = st.one_of(
+        pair, pair, pair,
+        st.lists(token, min_size=1, max_size=4).flatmap(
+            lambda toks: sep.map(lambda s: s.join(toks))),
+        st.sampled_from(["", "   ", "\t", "# header", "#"]),
+        st.tuples(pair, st.sampled_from([" # note", "#x", "\t# 1 2 3"])).map("".join))
+    return draw(st.lists(line, max_size=8))
 
 
 def frontier_bfs(g, s):
@@ -114,6 +172,32 @@ class TestConstruction:
         g = Graph.from_edges(4, [(2, 1), (1, 2), (3, 1), (1, 0)])
         assert list(g.neighbors(1)) == [0, 2, 3]
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_from_edges_bit_identical_to_unique_oracle(self, n, data):
+        # self-loops, reversed pairs and duplicates all occur
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4 * n))
+        repeats = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+        pairs += [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(repeats)]
+        g = Graph.from_edges(n, pairs)
+        indptr, indices = unique_rows_csr(n, pairs)
+        assert g.indptr.dtype == indptr.dtype and g.indices.dtype == indices.dtype
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=edge_file_lines(), newline=st.sampled_from(["\n", "\r\n"]))
+    def test_edge_parser_accepts_and_rejects_like_line_oracle(self, tmp_path_factory, lines,
+                                                               newline):
+        path = tmp_path_factory.mktemp("edges") / "e.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        got, want = outcome(_parse_edge_file, path), outcome(parse_edges_by_line, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("0 1\nbogus line here\n")
@@ -144,6 +228,28 @@ class TestConstruction:
         g = load_graph(tmp_path / "e.txt", labels_path=tmp_path / "y.txt")
         assert g.n == 4
         assert g.degrees[3] == 0
+
+
+class TestCheckVertexIds:
+    def test_valid_ids_pass_through(self):
+        ids = check_vertex_ids([3, 0, 3], 4)
+        assert ids.dtype == np.int64 and list(ids) == [3, 0, 3]
+        assert list(check_vertex_ids(["2", " 1"], 4)) == [2, 1]
+
+    @pytest.mark.parametrize("ids", [[-1], [4], [0, 99], [0.5], ["abc"], [[0, 1]], [True]])
+    def test_bad_ids_rejected(self, ids):
+        with pytest.raises(DataError):
+            check_vertex_ids(ids, 4)
+
+    def test_empty(self):
+        assert check_vertex_ids([], 4).shape == (0,)
+        with pytest.raises(DataError):
+            check_vertex_ids([], 4, nonempty=True)
+
+    def test_without_n_only_the_lower_bound(self):
+        assert list(check_vertex_ids([10**6], None)) == [10**6]
+        with pytest.raises(DataError):
+            check_vertex_ids([-1], None)
 
 
 class TestBfs:

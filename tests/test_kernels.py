@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphquant import kernels
-from graphquant.errors import ConfigError
+from graphquant.errors import ConfigError, DataError
 from graphquant.graph import Graph
-from graphquant.kernels import (KernelSpec, evaluate_kernel, normalized_adjacency_dense,
-                                ppr_matrix_dense, ppr_matrix_rows, ppr_matrix_sparse_pruned)
+from graphquant.kernels import (KernelSpec, evaluate_kernel, make_evaluator, make_ppr_density,
+                                normalized_adjacency_dense, ppr_matrix_dense, ppr_matrix_rows,
+                                ppr_matrix_sparse_pruned)
 
 from test_graph import random_graph, small_graphs
 
@@ -109,6 +110,43 @@ class TestPprRows:
         g = random_graph(20, 0.2, seed=9)
         km = evaluate_kernel(KernelSpec.ppr(interp=1.0), g, [3, 0], range(20))
         assert km.values.shape == (2, 20)
+
+
+class TestPprDensity:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), g=small_graphs(), alpha=st.floats(0.01, 0.99),
+           walk_len=st.integers(1, 12), interp=st.floats(0.0, 1.0))
+    def test_matches_evaluator_and_dense_oracle(self, data, g, alpha, walk_len, interp):
+        vertex = st.integers(0, g.n - 1)
+        rows = np.asarray(data.draw(st.lists(vertex, max_size=2 * g.n)), dtype=np.int64)
+        # duplicate sample vertices count once per occurrence
+        cols = np.asarray(data.draw(st.lists(vertex, min_size=1, max_size=3 * g.n)),
+                          dtype=np.int64)
+        spec = KernelSpec.ppr(alpha=alpha, walk_len=walk_len, interp=interp)
+        got = make_ppr_density(spec, g, rows)(cols)
+        assert got.shape == (len(rows),)
+        by_evaluator = make_evaluator(spec, g, rows)(cols).mean(axis=1)
+        assert np.allclose(got, by_evaluator, rtol=0.0, atol=1e-12)
+        pi = ppr_matrix_dense(g, alpha, walk_len)
+        oracle = (interp * pi[np.ix_(rows, cols)] + (1.0 - interp)).mean(axis=1)
+        assert np.allclose(got, oracle, rtol=0.0, atol=1e-12)
+
+    def test_builds_no_row_block(self, monkeypatch):
+        def block(*args):
+            raise AssertionError("walk-probability rows built")
+        for name in ("ppr_matrix_rows", "ppr_matrix_dense", "normalized_adjacency_dense"):
+            monkeypatch.setattr(kernels, name, block)
+        g = random_graph(20, 0.2, seed=9)
+        assert make_ppr_density(KernelSpec.ppr(), g, [3, 0])([1, 1, 5]).shape == (2,)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DataError):
+            make_ppr_density(KernelSpec.ppr(), two_path(), [0])([])
+
+    def test_only_dense_ppr(self):
+        for spec in (KernelSpec.constant(), KernelSpec.ppr(mode="sparse")):
+            with pytest.raises(ConfigError):
+                make_ppr_density(spec, two_path(), [0])
 
 
 class TestEvaluateKernel:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from graphquant.errors import ConfigError
-from graphquant.estimation import PredictionSet
+from graphquant import estimation
+from graphquant.errors import ConfigError, DataError
+from graphquant.estimation import PredictionSet, nacc_confusion_estimate, nacc_prevalence
 from graphquant.graph import Graph
 from graphquant.kernels import KernelSpec
 from graphquant.quantifiers import QuantifierSpec, quantify, quantify_batch
 from graphquant.shift import generate_sbm, sample_rw
+from graphquant.solver import solve_simplex_lsq
 
 
 def synthetic_channel_setup():
@@ -183,6 +185,56 @@ class TestBatch:
         for s, est in zip(samples, batched):
             loop = quantify(spec, g, train, g.labels[train], s.vertices, preds)
             assert np.abs(loop.q - est.q).max() < 1e-12
+
+
+class TestVertexIds:
+    def test_negative_test_ids_rejected_not_wrapped(self):
+        # numpy indexing used to wrap these to the last three vertices: [1,0,0], zero-support:2
+        g, train, train_labels, test, preds = synthetic_channel_setup()
+        with pytest.raises(DataError):
+            quantify(QuantifierSpec(base="acc"), g, train, train_labels, [-1, -2, -3], preds)
+
+    @pytest.mark.parametrize("sample", [[120], [0.5, 1.5], []])
+    def test_bad_sample_rejected(self, sample):
+        g, train, train_labels, test, preds = synthetic_channel_setup()
+        for base in ("mlpe", "cc", "acc"):
+            with pytest.raises(DataError):
+                quantify_batch(QuantifierSpec(base=base), g, train, train_labels,
+                               [test, sample], preds)
+
+    def test_train_out_of_range_rejected(self):
+        g, train, train_labels, test, preds = synthetic_channel_setup()
+        with pytest.raises(DataError):
+            quantify(QuantifierSpec(base="acc"), g, np.append(train, 500),
+                     np.append(train_labels, 0), test, preds)
+
+
+class TestNaccFeaturesOncePerBatch:
+    def test_one_feature_pass_and_identical_estimates(self, monkeypatch):
+        g = generate_sbm([30, 30, 30], 0.2, 0.02, seed=3)
+        rng = np.random.default_rng(4)
+        preds = PredictionSet.from_soft(rng.dirichlet(np.ones(3), size=90))
+        train, pool = np.arange(0, 90, 2), np.arange(1, 90, 2)
+        samples = [rng.choice(pool, size=20) for _ in range(4)]
+        calls = []
+        original = estimation.nacc_features
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(estimation, "nacc_features", counting)
+        for mode_probabilistic in (False, True):
+            spec = QuantifierSpec(base="acc", nacc=True, probabilistic=mode_probabilistic)
+            calls.clear()
+            batched = quantify_batch(spec, g, train, g.labels[train], samples, preds)
+            assert len(calls) == 1
+            mode = "soft" if mode_probabilistic else "hard"
+            for s, est in zip(samples, batched):
+                # the system as built with the features recomputed in every call
+                alone = nacc_confusion_estimate(g, preds, train, g.labels[train],
+                                                np.ones(len(train)), mode)
+                alone = alone.with_prevalences(nacc_prevalence(g, preds, s, mode))
+                assert np.array_equal(solve_simplex_lsq(alone.C, alone.p_hat).q, est.q)
 
 
 class TestStatisticalRecovery:
