@@ -6,6 +6,7 @@ externally trained model outputs are loaded from files instead.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,9 +106,13 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
     if arity not in (1, K):
         raise DataError(f"{path}: rows must have 1 or {K} columns, got {arity}")
     try:
-        values = np.loadtxt(rows, dtype=np.int64 if arity == 1 else np.float64,
-                            delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # numpy from 1.23 on may parse an int token such as '1.0' through float, with only
+            # a DeprecationWarning; make that a rejection as well
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.loadtxt(rows, dtype=np.int64 if arity == 1 else np.float64,
+                                delimiter=",", comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning) as exc:
         raise _prediction_row_error(path, text, K, exc) from None
     if arity == 1:
         if not ((values < 0) | (values >= K)).any():

@@ -55,9 +55,9 @@ def save_split(split: SplitSpec, path) -> None:
                 writer.writerow([int(v), role])
 
 
-def load_split(path, n: int | None = None) -> SplitSpec:
-    """Read a split file; ids must lie in 0..n-1 (n given) and each vertex may
-    appear in at most one role, once."""
+def load_split(path, n: int) -> SplitSpec:
+    """Read a split file; ids must lie in 0..n-1 and each vertex may appear in
+    at most one role, once."""
     parts: dict[str, list[str]] = {role: [] for role in SPLIT_ROLES}
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)

@@ -170,16 +170,14 @@ def _pair_index(own: np.ndarray, nbr: np.ndarray, K: int) -> np.ndarray:
     return own * K + nbr
 
 
-def nacc_prevalence(g: Graph, preds: PredictionSet, vertices, mode: str = HARD,
-                    features=None) -> np.ndarray:
-    """Observed prevalence over (own, neighbor-majority) pairs, length K^2.
-
-    `features` is nacc_features(g, preds) when the caller already has it."""
+def nacc_prevalence(features, preds: PredictionSet, vertices, mode: str = HARD) -> np.ndarray:
+    """Observed prevalence over (own, neighbor-majority) pairs, length K^2;
+    `features` is nacc_features(g, preds)."""
     vertices = np.asarray(vertices, dtype=np.int64)
     if len(vertices) == 0:
         raise DataError("prevalence over an empty vertex list is undefined")
     K = preds.K
-    own, nbr = features if features is not None else nacc_features(g, preds)
+    own, nbr = features
     if mode == HARD:
         pairs = _pair_index(own[vertices], nbr[vertices], K)
         return np.bincount(pairs, minlength=K * K) / len(vertices)
@@ -191,19 +189,18 @@ def nacc_prevalence(g: Graph, preds: PredictionSet, vertices, mode: str = HARD,
     return out / len(vertices)
 
 
-def nacc_confusion_estimate(g: Graph, preds: PredictionSet, train_vertices, train_labels,
-                            weights=None, mode: str = HARD,
-                            features=None) -> ConfusionEstimate:
+def nacc_confusion_estimate(features, preds: PredictionSet, train_vertices, train_labels,
+                            weights=None, mode: str = HARD) -> ConfusionEstimate:
     """Weighted conditional distribution of (own, neighbor-majority) pairs per
-    true class: a (K^2, K) column-stochastic matrix. `features` is
-    nacc_features(g, preds) when the caller already has it."""
+    true class: a (K^2, K) column-stochastic matrix; `features` is
+    nacc_features(g, preds)."""
     train_vertices = np.asarray(train_vertices, dtype=np.int64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
     K = preds.K
     if train_labels.size and (train_labels.min() < 0 or train_labels.max() >= K):
         raise DataError(f"train label out of range for K={K}")
     weights = _as_weights(weights, len(train_vertices))
-    own, nbr = features if features is not None else nacc_features(g, preds)
+    own, nbr = features
     num = np.zeros((K * K, K))
     if mode == HARD:
         pairs = _pair_index(own[train_vertices], nbr[train_vertices], K)

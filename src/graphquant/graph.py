@@ -89,12 +89,11 @@ class DistanceRow:
     dist: np.ndarray  # int32, shape (n,)
 
 
-def check_vertex_ids(ids, n: int | None, what: str = "vertex ids",
-                     nonempty: bool = False) -> np.ndarray:
+def check_vertex_ids(ids, n: int, what: str, nonempty: bool = False) -> np.ndarray:
     """`ids` as an int64 array, checked at the boundary: every id must be an
-    integer (or a string that spells one) in 0..n-1, or only >= 0 when n is
-    None, and the list must not be empty when `nonempty` is set. Raises
-    DataError otherwise, so no id wraps around or fails later as an index."""
+    integer (or a string that spells one) in 0..n-1, and the list must not be
+    empty when `nonempty` is set. Raises DataError naming `what` otherwise, so
+    no id wraps around or fails later as an index."""
     arr = np.asarray(ids)
     if arr.size == 0:
         if nonempty:
@@ -112,7 +111,7 @@ def check_vertex_ids(ids, n: int | None, what: str = "vertex ids",
     lo, hi = arr.min(), arr.max()
     if lo < 0:
         raise DataError(f"{what}: negative vertex id {lo}")
-    if n is not None and hi >= n:
+    if hi >= n:
         raise DataError(f"{what}: vertex id {hi} out of range for n={n}")
     return arr.astype(np.int64, copy=False)
 
@@ -183,8 +182,11 @@ def _parse_edge_file(path) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file without edges is valid
+            # numpy from 1.23 on may parse an int token such as '1.5' through float, with only
+            # a DeprecationWarning; make that a rejection as well
+            warnings.simplefilter("error", DeprecationWarning)
             edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         raise _edge_line_error(path, exc) from None
     if edges.size == 0:
         return edges.reshape(0, 2)

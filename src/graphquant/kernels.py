@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .graph import Graph, UNREACHABLE, bfs_distances
 
 DEFAULT_ALPHA = 0.1       # teleport probability per walk step
@@ -175,27 +175,26 @@ def ppr_matrix_rows(g: Graph, alpha: float, walk_len: int, rows) -> np.ndarray:
 
 
 def make_ppr_density(spec: KernelSpec, g: Graph, rows):
-    """Dense-mode PPR kernel density of each row vertex over a sample.
+    """Dense-mode PPR kernel density of each row vertex over samples.
 
-    The returned callable maps sample vertices `cols` to
-    mean_c k(rows[i], c) = interp * (Pi u)[rows[i]] + (1 - interp), where u is
-    the sample's empirical distribution (duplicates count) and Pi the walk
-    matrix. That takes walk_len sparse mat-vecs per sample and builds no
-    len(rows) x n block; it equals make_evaluator(spec, g, rows)(cols).mean(axis=1)
-    up to floating-point rounding.
+    The returned callable maps a list of samples to a (len(rows), len(samples))
+    array whose column j is mean_c k(rows[i], c) over the vertices c of sample j,
+    that is interp * (Pi u_j)[rows[i]] + (1 - interp) with u_j the sample's
+    empirical distribution (duplicates count) and Pi the walk matrix. All
+    samples walk together: walk_len sparse x dense steps on an n x len(samples)
+    block, and no len(rows) x n block is built. Each column equals
+    make_evaluator(spec, g, rows)(cols).mean(axis=1) up to floating-point
+    rounding.
     """
-    if spec.kind != PPR or spec.mode != DENSE:
-        raise ConfigError("make_ppr_density needs a dense-mode ppr kernel")
     rows = np.asarray(rows, dtype=np.int64)
     abar = normalized_adjacency_sparse(g)
     lam = spec.interp
 
-    def density(cols):
-        cols = np.asarray(cols, dtype=np.int64)
-        if len(cols) == 0:
-            raise DataError("density estimate needs at least one sample vertex")
-        u = np.bincount(cols, minlength=g.n) / len(cols)
-        return lam * _walk(abar, spec.alpha, spec.walk_len, u)[rows] + (1.0 - lam)
+    def density(samples):
+        block = np.zeros((g.n, len(samples)))
+        for j, cols in enumerate(samples):
+            block[:, j] = np.bincount(cols, minlength=g.n) / len(cols)
+        return lam * _walk(abar, spec.alpha, spec.walk_len, block)[rows] + (1.0 - lam)
     return density
 
 

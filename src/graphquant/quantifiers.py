@@ -75,11 +75,14 @@ def _mode(spec: QuantifierSpec) -> str:
 
 
 def _density_fn(kernel: KernelSpec, g: Graph, rows: np.ndarray):
-    """Callable mapping sample vertices to the kernel density of each row vertex."""
+    """Callable mapping a list of samples to the kernel density of each row
+    vertex, one column per sample."""
     if kernel.kind == PPR and kernel.mode == DENSE:
         return make_ppr_density(kernel, g, rows)
     evaluator = make_evaluator(kernel, g, rows)
-    return lambda cols: kde_density(KernelMatrix(rows=rows, cols=cols, values=evaluator(cols)))
+    return lambda samples: np.column_stack(
+        [kde_density(KernelMatrix(rows=rows, cols=cols, values=evaluator(cols)))
+         for cols in samples])
 
 
 class _WeightContext:
@@ -94,12 +97,14 @@ class _WeightContext:
         kernel_q = spec.kernel_q if spec.kernel_q is not None else KernelSpec.constant()
         kernel_p = spec.kernel_p if spec.kernel_p is not None else KernelSpec.constant()
         self.q_density = _density_fn(kernel_q, g, train_vertices)
-        self.p_density = _density_fn(kernel_p, g, train_vertices)(train_vertices)
+        self.p_density = _density_fn(kernel_p, g, train_vertices)([train_vertices])[:, 0]
 
-    def weights_for(self, test_vertices: np.ndarray) -> np.ndarray:
-        if self.q_density is None:
-            return np.ones(len(self.train_vertices))
-        return density_ratio(self.q_density(test_vertices), self.p_density)
+    def weights_for(self, samples: list[np.ndarray]) -> list[np.ndarray]:
+        """Importance weights of the training vertices, one array per sample."""
+        if self.q_density is None or not samples:
+            return [np.ones(len(self.train_vertices)) for _ in samples]
+        q = self.q_density(samples)
+        return [density_ratio(q[:, j], self.p_density) for j in range(len(samples))]
 
 
 def quantify(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
@@ -146,12 +151,11 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
     # looked up on the module so that tracing and test doubles see the call
     features = estimation.nacc_features(g, preds) if spec.nacc else None
     results = []
-    for s in samples:
-        weights = context.weights_for(s)
+    for s, weights in zip(samples, context.weights_for(samples)):
         if spec.nacc:
-            est = nacc_confusion_estimate(g, preds, train_vertices, train_labels,
-                                          weights, mode, features=features)
-            est = est.with_prevalences(nacc_prevalence(g, preds, s, mode, features=features))
+            est = nacc_confusion_estimate(features, preds, train_vertices, train_labels,
+                                          weights, mode)
+            est = est.with_prevalences(nacc_prevalence(features, preds, s, mode))
         else:
             est = confusion_estimate(preds, train_vertices, train_labels, weights, mode)
             est = est.with_prevalences(prevalence_vector(preds, s, mode))

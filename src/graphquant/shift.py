@@ -345,9 +345,9 @@ def _fmt_param(val):
     return str(val)
 
 
-def load_sample_sections(path, n: int | None = None) -> list[tuple[dict, np.ndarray]]:
+def load_sample_sections(path, n: int) -> list[tuple[dict, np.ndarray]]:
     """Parse a samples file back into (header fields, vertex ids) sections;
-    ids must lie in 0..n-1 (n given)."""
+    ids must lie in 0..n-1."""
     sections = []
     header = None
     vertices: list[int] = []

@@ -9,7 +9,7 @@ from graphquant.errors import DataError
 from graphquant.estimation import PredictionSet
 from graphquant.graph import Graph
 
-from test_graph import outcome
+from test_graph import outcome, patch_int_parse_via_float
 
 
 def load_predictions_by_line(path, n, K):
@@ -213,6 +213,13 @@ class TestPredictionFiles:
         path = tmp_path / "p.csv"
         path.write_text("0\n5\n")
         with pytest.raises(DataError, match=":2"):
+            load_predictions(path, n=2, K=2)
+
+    def test_hard_label_parsed_via_float_rejected(self, tmp_path, monkeypatch):
+        patch_int_parse_via_float(monkeypatch)
+        path = tmp_path / "p.csv"
+        path.write_text("0\n1.5\n")
+        with pytest.raises(DataError, match=r":2: expected an integer label"):
             load_predictions(path, n=2, K=2)
 
     @settings(max_examples=300, deadline=None)

@@ -35,7 +35,7 @@ class TestGenGraphAndSplit:
         out = tmp_path / "split.csv"
         assert run("split", "--edges", edges, "--labels", labels,
                    "--fractions", "0.1,0.3,0.6", "--seed", 7, "--out", out) == 0
-        split = load_split(out)
+        split = load_split(out, 120)
         assert len(split.classifier_train) == 12
         assert len(split.quantifier_train) == 36
         assert len(split.test) == 72

@@ -195,14 +195,14 @@ class TestNaccPrevalence:
     def test_triangle_all_one_pair(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         p = PredictionSet.from_hard([1, 1, 1], K=2)
-        out = nacc_prevalence(g, p, [0, 1, 2])
+        out = nacc_prevalence(nacc_features(g, p), p, [0, 1, 2])
         assert out[1 * 2 + 1] == 1.0
         assert out.sum() == pytest.approx(1.0)
 
     def test_isolated_pair_fallback(self):
         g = Graph.from_edges(2, [])
         p = PredictionSet.from_hard([0, 1], K=2)
-        out = nacc_prevalence(g, p, [0, 1])
+        out = nacc_prevalence(nacc_features(g, p), p, [0, 1])
         assert np.array_equal(out, [0.5, 0.0, 0.0, 0.5])
 
     def test_sums_to_one_soft(self):
@@ -210,7 +210,7 @@ class TestNaccPrevalence:
         soft = np.random.default_rng(4).dirichlet(np.ones(3), size=30)
         p = PredictionSet.from_soft(soft)
         for mode in (HARD, SOFT):
-            out = nacc_prevalence(g, p, np.arange(30), mode)
+            out = nacc_prevalence(nacc_features(g, p), p, np.arange(30), mode)
             assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -219,14 +219,14 @@ class TestNaccConfusion:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         labels = np.array([0, 0, 0, 1, 1, 1])
         p = PredictionSet.from_hard(labels, K=2)
-        est = nacc_confusion_estimate(g, p, np.arange(6), labels)
+        est = nacc_confusion_estimate(nacc_features(g, p), p, np.arange(6), labels)
         assert est.C[0, 0] == 1.0  # class 0 -> pair (0,0)
         assert est.C[3, 1] == 1.0  # class 1 -> pair (1,1)
 
     def test_single_member_column(self):
         g = Graph.from_edges(2, [(0, 1)])
         p = PredictionSet.from_hard([0, 1], K=2)
-        est = nacc_confusion_estimate(g, p, [0], [0])
+        est = nacc_confusion_estimate(nacc_features(g, p), p, [0], [0])
         # vertex 0: own=0, neighbor majority=1 -> pair (0,1)
         assert np.array_equal(est.C[:, 0], [0.0, 1.0, 0.0, 0.0])
         assert est.zero_support == (1,)
@@ -237,7 +237,7 @@ class TestNaccConfusion:
         p = PredictionSet.from_soft(rng.dirichlet(np.ones(3), size=50))
         labels = rng.integers(0, 3, 50)
         for mode in (HARD, SOFT):
-            est = nacc_confusion_estimate(g, p, np.arange(50), labels,
+            est = nacc_confusion_estimate(nacc_features(g, p), p, np.arange(50), labels,
                                           weights=rng.random(50) + 0.05, mode=mode)
             assert est.C.shape == (9, 3)
             assert np.abs(est.C.sum(axis=0) - 1.0).max() < 1e-9

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,20 @@ def outcome(parse, *args):
         return parse(*args)
     except DataError as exc:
         return str(exc)
+
+
+def patch_int_parse_via_float(monkeypatch):
+    """Make np.loadtxt behave like numpy versions that parse an integer token
+    such as '1.5' through float: truncate it, with only a DeprecationWarning."""
+    loadtxt = np.loadtxt
+
+    def via_float(fname, dtype=float, **kwargs):
+        values = loadtxt(fname, dtype=np.float64, **kwargs)
+        if np.dtype(dtype).kind == "i" and (values != np.trunc(values)).any():
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        return values.astype(dtype)
+    monkeypatch.setattr(np, "loadtxt", via_float)
 
 
 @st.composite
@@ -204,6 +220,13 @@ class TestConstruction:
         with pytest.raises(DataError, match=":2"):
             load_graph(path)
 
+    def test_int_parsed_via_float_rejected(self, tmp_path, monkeypatch):
+        patch_int_parse_via_float(monkeypatch)
+        path = tmp_path / "e.txt"
+        path.write_text("0 1\n2 1.5\n")
+        with pytest.raises(DataError, match=r":2: non-integer vertex id"):
+            load_graph(path)
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("# header\n0 1  # inline\n\n1\t2\n")
@@ -232,24 +255,19 @@ class TestConstruction:
 
 class TestCheckVertexIds:
     def test_valid_ids_pass_through(self):
-        ids = check_vertex_ids([3, 0, 3], 4)
+        ids = check_vertex_ids([3, 0, 3], 4, "ids")
         assert ids.dtype == np.int64 and list(ids) == [3, 0, 3]
-        assert list(check_vertex_ids(["2", " 1"], 4)) == [2, 1]
+        assert list(check_vertex_ids(["2", " 1"], 4, "ids")) == [2, 1]
 
     @pytest.mark.parametrize("ids", [[-1], [4], [0, 99], [0.5], ["abc"], [[0, 1]], [True]])
     def test_bad_ids_rejected(self, ids):
         with pytest.raises(DataError):
-            check_vertex_ids(ids, 4)
+            check_vertex_ids(ids, 4, "ids")
 
     def test_empty(self):
-        assert check_vertex_ids([], 4).shape == (0,)
+        assert check_vertex_ids([], 4, "ids").shape == (0,)
         with pytest.raises(DataError):
-            check_vertex_ids([], 4, nonempty=True)
-
-    def test_without_n_only_the_lower_bound(self):
-        assert list(check_vertex_ids([10**6], None)) == [10**6]
-        with pytest.raises(DataError):
-            check_vertex_ids([-1], None)
+            check_vertex_ids([], 4, "ids", nonempty=True)
 
 
 class TestBfs:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphquant import kernels
-from graphquant.errors import ConfigError, DataError
+from graphquant.errors import ConfigError
 from graphquant.graph import Graph
 from graphquant.kernels import (KernelSpec, evaluate_kernel, make_evaluator, make_ppr_density,
                                 normalized_adjacency_dense, ppr_matrix_dense, ppr_matrix_rows,
@@ -120,16 +120,18 @@ class TestPprDensity:
         vertex = st.integers(0, g.n - 1)
         rows = np.asarray(data.draw(st.lists(vertex, max_size=2 * g.n)), dtype=np.int64)
         # duplicate sample vertices count once per occurrence
-        cols = np.asarray(data.draw(st.lists(vertex, min_size=1, max_size=3 * g.n)),
-                          dtype=np.int64)
+        samples = [np.asarray(cols, dtype=np.int64) for cols in data.draw(
+            st.lists(st.lists(vertex, min_size=1, max_size=3 * g.n), min_size=1, max_size=3))]
         spec = KernelSpec.ppr(alpha=alpha, walk_len=walk_len, interp=interp)
-        got = make_ppr_density(spec, g, rows)(cols)
-        assert got.shape == (len(rows),)
-        by_evaluator = make_evaluator(spec, g, rows)(cols).mean(axis=1)
-        assert np.allclose(got, by_evaluator, rtol=0.0, atol=1e-12)
+        got = make_ppr_density(spec, g, rows)(samples)
+        assert got.shape == (len(rows), len(samples))
         pi = ppr_matrix_dense(g, alpha, walk_len)
-        oracle = (interp * pi[np.ix_(rows, cols)] + (1.0 - interp)).mean(axis=1)
-        assert np.allclose(got, oracle, rtol=0.0, atol=1e-12)
+        evaluator = make_evaluator(spec, g, rows)
+        for j, cols in enumerate(samples):
+            by_evaluator = evaluator(cols).mean(axis=1)
+            assert np.allclose(got[:, j], by_evaluator, rtol=0.0, atol=1e-12)
+            oracle = (interp * pi[np.ix_(rows, cols)] + (1.0 - interp)).mean(axis=1)
+            assert np.allclose(got[:, j], oracle, rtol=0.0, atol=1e-12)
 
     def test_builds_no_row_block(self, monkeypatch):
         def block(*args):
@@ -137,16 +139,8 @@ class TestPprDensity:
         for name in ("ppr_matrix_rows", "ppr_matrix_dense", "normalized_adjacency_dense"):
             monkeypatch.setattr(kernels, name, block)
         g = random_graph(20, 0.2, seed=9)
-        assert make_ppr_density(KernelSpec.ppr(), g, [3, 0])([1, 1, 5]).shape == (2,)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(DataError):
-            make_ppr_density(KernelSpec.ppr(), two_path(), [0])([])
-
-    def test_only_dense_ppr(self):
-        for spec in (KernelSpec.constant(), KernelSpec.ppr(mode="sparse")):
-            with pytest.raises(ConfigError):
-                make_ppr_density(spec, two_path(), [0])
+        density = make_ppr_density(KernelSpec.ppr(), g, [3, 0])
+        assert density([[1, 1, 5], [7]]).shape == (2, 2)
 
 
 class TestEvaluateKernel:

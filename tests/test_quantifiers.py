@@ -231,9 +231,10 @@ class TestNaccFeaturesOncePerBatch:
             mode = "soft" if mode_probabilistic else "hard"
             for s, est in zip(samples, batched):
                 # the system as built with the features recomputed in every call
-                alone = nacc_confusion_estimate(g, preds, train, g.labels[train],
-                                                np.ones(len(train)), mode)
-                alone = alone.with_prevalences(nacc_prevalence(g, preds, s, mode))
+                alone = nacc_confusion_estimate(original(g, preds), preds, train,
+                                                g.labels[train], np.ones(len(train)), mode)
+                alone = alone.with_prevalences(nacc_prevalence(original(g, preds), preds,
+                                                               s, mode))
                 assert np.array_equal(solve_simplex_lsq(alone.C, alone.p_hat).q, est.q)
 
 

@@ -245,7 +245,7 @@ class TestSerialization:
         samples = sample_rw(g, np.arange(60), g.labels, seeds_per_label=2, n=10, seed=5)
         path = tmp_path / "samples.txt"
         save_samples(samples, path)
-        sections = load_sample_sections(path)
+        sections = load_sample_sections(path, g.n)
         assert len(sections) == len(samples)
         for (header, vertices), s in zip(sections, samples):
             assert header["sampler"] == s.sampler
