@@ -10,8 +10,7 @@ from .errors import ConfigError, DataError, GraphQuantError
 from .estimation import ConfusionEstimate, PredictionSet
 from .graph import DistanceRow, Graph, UNREACHABLE, bfs_distances, connected_components, \
     load_graph, save_graph
-from .kernels import KernelMatrix, KernelSpec, evaluate_kernel, ppr_matrix_dense, \
-    ppr_matrix_sparse_pruned
+from .kernels import KernelSpec, make_evaluator, ppr_matrix_dense, ppr_matrix_sparse_pruned
 from .quantifiers import PrevalenceVector, QuantifierSpec, quantify, quantify_batch
 from .solver import SimplexLsqResult, solve_simplex_lsq
 from .shift import ShiftSample, SplitSpec, generate_sbm, sample_bfs, sample_pps, \
@@ -24,7 +23,7 @@ __all__ = [
     "ConfigError", "DataError", "GraphQuantError",
     "Graph", "DistanceRow", "UNREACHABLE",
     "load_graph", "save_graph", "bfs_distances", "connected_components",
-    "KernelSpec", "KernelMatrix", "evaluate_kernel",
+    "KernelSpec", "make_evaluator",
     "ppr_matrix_dense", "ppr_matrix_sparse_pruned",
     "PredictionSet", "ConfusionEstimate",
     "SimplexLsqResult", "solve_simplex_lsq",

@@ -120,7 +120,8 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
     else:
         sums = values.sum(axis=1)
         off = np.abs(sums - 1.0)
-        if not (values < 0).any() and not (off > 1e-6).any():
+        # NaN fails both comparisons, so finiteness is checked first
+        if np.isfinite(values).all() and not (values < 0).any() and not (off > 1e-6).any():
             renorm = off > 1e-12
             values[renorm] /= sums[renorm, None]
             return PredictionSet.from_soft(values)
@@ -151,6 +152,8 @@ def _prediction_row_error(path, text: str, K: int, exc) -> DataError:
             row = np.asarray([float(t) for t in toks])
         except ValueError:
             return DataError(f"{path}:{lineno}: non-numeric probability")
+        if not np.isfinite(row).all():
+            return DataError(f"{path}:{lineno}: non-finite probability")
         if row.min() < 0:
             return DataError(f"{path}:{lineno}: negative probability")
         s = row.sum()

@@ -135,7 +135,11 @@ def cmd_quantify(args) -> int:
     split = load_split(args.split, g.n)
     train = split.quantifier_train
     preds = load_predictions(args.preds, g.n, g.num_classes) if args.preds else None
-    spec = parse_quantifier_spec(yaml.safe_load(args.quantifier) or {})
+    try:
+        raw_spec = yaml.safe_load(args.quantifier)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"--quantifier: invalid YAML: {exc}")
+    spec = parse_quantifier_spec(raw_spec or {})
     if args.sample_index is not None:
         sections = load_sample_sections(args.test, g.n)
         if not 0 <= args.sample_index < len(sections):

@@ -170,6 +170,19 @@ def _parse_classifier(raw: dict, index: int, resolve) -> ClassifierConfig:
                             damping=damping, path=resolve(raw.get("path")))
 
 
+# the keys each kernel kind takes, besides "kind"
+_KERNEL_KEYS = {kernels.CONSTANT: (), kernels.PPR: ("alpha", "walk_len", "interp"),
+               kernels.SHORTEST_PATH: ("gamma",), kernels.FEATURE: ()}
+_QUANTIFIER_KEYS = ("name", "base", "probabilistic", "nacc", "kernel_q", "kernel_p")
+
+
+def _reject_unknown_keys(raw: dict, allowed, what: str) -> None:
+    unknown = sorted(str(k) for k in raw if k not in allowed)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {what} "
+                          f"(allowed: {', '.join(sorted(allowed))})")
+
+
 def parse_kernel_spec(raw) -> KernelSpec:
     if raw is None:
         return None
@@ -178,26 +191,25 @@ def parse_kernel_spec(raw) -> KernelSpec:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"kernel spec must name a kind, got {raw!r}")
     kind = raw["kind"]
-    if kind == kernels.CONSTANT:
-        return KernelSpec.constant()
+    if kind not in _KERNEL_KEYS:
+        raise ConfigError(f"unknown kernel kind {kind!r}")
+    _reject_unknown_keys(raw, ("kind",) + _KERNEL_KEYS[kind], f"{kind} kernel spec")
     if kind == kernels.PPR:
         return KernelSpec.ppr(
             alpha=float(raw.get("alpha", kernels.DEFAULT_ALPHA)),
             walk_len=int(raw.get("walk_len", kernels.DEFAULT_WALK_LEN)),
-            interp=float(raw.get("interp", kernels.DEFAULT_INTERP)),
-            mode=raw.get("mode", kernels.DENSE),
-            prune_threshold=float(raw.get("prune_threshold", 0.0)))
+            interp=float(raw.get("interp", kernels.DEFAULT_INTERP)))
     if kind == kernels.SHORTEST_PATH:
         return KernelSpec.shortest_path(gamma=float(raw.get("gamma", kernels.DEFAULT_GAMMA)))
-    if kind == kernels.FEATURE:
-        return KernelSpec.feature()
-    raise ConfigError(f"unknown kernel kind {kind!r}")
+    return KernelSpec(kind=kind)
 
 
 def parse_quantifier_spec(raw: dict) -> QuantifierSpec:
-    base = raw.get("base", "acc")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"quantifier spec must be a mapping, got {raw!r}")
+    _reject_unknown_keys(raw, _QUANTIFIER_KEYS, "quantifier spec")
     return QuantifierSpec(
-        base=base,
+        base=raw.get("base", "acc"),
         probabilistic=bool(raw.get("probabilistic", False)),
         nacc=bool(raw.get("nacc", False)),
         kernel_q=parse_kernel_spec(raw.get("kernel_q")),

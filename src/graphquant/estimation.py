@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .graph import Graph
-from .kernels import KernelMatrix
 
 HARD = "hard"
 SOFT = "soft"
@@ -46,6 +45,8 @@ class PredictionSet:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 2:
             raise DataError("soft predictions must be a 2-D array")
+        if not np.isfinite(probs).all():
+            raise DataError("soft predictions must be finite")
         if probs.size and probs.min() < 0:
             raise DataError("soft predictions must be non-negative")
         sums = probs.sum(axis=1)
@@ -79,11 +80,19 @@ class ConfusionEstimate:
         return replace(self, p_hat=p_hat)
 
 
-def kde_density(km: KernelMatrix) -> np.ndarray:
-    """Kernel density estimate per row vertex: mean kernel value over samples."""
-    if km.values.shape[1] == 0:
-        raise DataError("density estimate needs at least one sample vertex")
-    return km.values.mean(axis=1)
+def kde_density(kernel, samples, n: int) -> np.ndarray:
+    """Kernel density of each row vertex over each sample, shape (rows, S).
+
+    `kernel` is a linear map from make_evaluator. Column j of the n x S input
+    is sample j's empirical distribution over the n vertices (duplicates
+    count), so column j of the result is the mean kernel value over sample j.
+    """
+    dists = np.zeros((n, len(samples)))
+    for j, cols in enumerate(samples):
+        if len(cols) == 0:
+            raise DataError("density estimate needs at least one sample vertex")
+        dists[:, j] = np.bincount(cols, minlength=n) / len(cols)
+    return kernel(dists)
 
 
 def density_ratio(q_hat, p_hat, floor: float = DENSITY_FLOOR) -> np.ndarray:

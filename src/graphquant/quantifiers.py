@@ -16,7 +16,7 @@ from .estimation import (HARD, SOFT, PredictionSet, confusion_estimate, density_
                          kde_density, nacc_confusion_estimate, nacc_prevalence,
                          prevalence_vector)
 from .graph import Graph, check_vertex_ids
-from .kernels import DENSE, PPR, KernelMatrix, KernelSpec, make_evaluator, make_ppr_density
+from .kernels import KernelSpec, make_evaluator
 from .solver import solve_simplex_lsq
 
 MLPE = "mlpe"
@@ -74,36 +74,27 @@ def _mode(spec: QuantifierSpec) -> str:
     return SOFT if spec.probabilistic else HARD
 
 
-def _density_fn(kernel: KernelSpec, g: Graph, rows: np.ndarray):
-    """Callable mapping a list of samples to the kernel density of each row
-    vertex, one column per sample."""
-    if kernel.kind == PPR and kernel.mode == DENSE:
-        return make_ppr_density(kernel, g, rows)
-    evaluator = make_evaluator(kernel, g, rows)
-    return lambda samples: np.column_stack(
-        [kde_density(KernelMatrix(rows=rows, cols=cols, values=evaluator(cols)))
-         for cols in samples])
-
-
 class _WeightContext:
     """Per-(spec, graph, train) resources for importance weights, so batch
-    runs reuse kernel resources and the training-density estimate."""
+    runs reuse the kernel maps and the training-density estimate."""
 
     def __init__(self, spec: QuantifierSpec, g: Graph, train_vertices: np.ndarray):
         self.train_vertices = train_vertices
+        self.n = g.n
         if not spec.uses_sis:
-            self.q_density = None
+            self.q_kernel = None
             return
         kernel_q = spec.kernel_q if spec.kernel_q is not None else KernelSpec.constant()
         kernel_p = spec.kernel_p if spec.kernel_p is not None else KernelSpec.constant()
-        self.q_density = _density_fn(kernel_q, g, train_vertices)
-        self.p_density = _density_fn(kernel_p, g, train_vertices)([train_vertices])[:, 0]
+        self.q_kernel = make_evaluator(kernel_q, g, train_vertices)
+        p_kernel = make_evaluator(kernel_p, g, train_vertices)
+        self.p_density = kde_density(p_kernel, [train_vertices], g.n)[:, 0]
 
     def weights_for(self, samples: list[np.ndarray]) -> list[np.ndarray]:
         """Importance weights of the training vertices, one array per sample."""
-        if self.q_density is None or not samples:
+        if self.q_kernel is None or not samples:
             return [np.ones(len(self.train_vertices)) for _ in samples]
-        q = self.q_density(samples)
+        q = kde_density(self.q_kernel, samples, self.n)
         return [density_ratio(q[:, j], self.p_density) for j in range(len(samples))]
 
 

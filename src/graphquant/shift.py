@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .classifiers import _infer_num_classes
 from .errors import ConfigError, DataError
 from .graph import Graph, check_vertex_ids
 
@@ -142,6 +143,46 @@ def _cap_and_redistribute(counts: np.ndarray, capacity: np.ndarray,
     return counts
 
 
+def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
+                          seeds_per_label: int, seed: int, num_classes, collect,
+                          params: dict) -> list[ShiftSample]:
+    """The start-vertex loop shared by the BFS and RW samplers: per label, pick
+    up to seeds_per_label start vertices of that label from the pool, and build
+    one sample from each with collect(in_pool, start, rng) -> (vertices, flagged).
+
+    Labels absent from the pool are skipped with a warning.
+    """
+    pool_vertices = np.asarray(pool_vertices, dtype=np.int64)
+    pool_labels = np.asarray(pool_labels, dtype=np.int64)
+    if len(pool_vertices) == 0:
+        raise DataError(f"{sampler.upper()} sampling needs a non-empty pool")
+    K = _infer_num_classes(g, pool_labels, num_classes)
+    in_pool = np.zeros(g.n, dtype=bool)
+    in_pool[pool_vertices] = True
+    label_lookup = np.full(g.n, -1, dtype=np.int64)
+    label_lookup[pool_vertices] = pool_labels
+    samples = []
+    for label in range(K):
+        members = pool_vertices[pool_labels == label]
+        if len(members) == 0:
+            warnings.warn(f"{sampler.upper()} sampler: label {label} absent from the pool, skipped")
+            continue
+        rng_starts = np.random.default_rng(np.random.SeedSequence([seed, 0, label]))
+        starts = rng_starts.choice(members, size=min(seeds_per_label, len(members)),
+                                   replace=False)
+        for start in starts:
+            idx = len(samples)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, idx]))
+            collected, flagged = collect(in_pool, int(start), rng)
+            samples.append(ShiftSample(
+                vertices=collected, true_prev=_realized_prev(label_lookup[collected], K),
+                sampler=sampler, seed=seed,
+                params={"sample": idx, "seeds_per_label": seeds_per_label, **params,
+                        "label": label},
+                start=int(start), flagged=flagged))
+    return samples
+
+
 def sample_bfs(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAULT_SEEDS_PER_LABEL,
                n: int = DEFAULT_SAMPLE_SIZE, seed: int = 0, num_classes=None) -> list[ShiftSample]:
     """Breadth-first covariate-shift samples: per label, pick start vertices of
@@ -151,42 +192,14 @@ def sample_bfs(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFA
     Samples from components with fewer than n pool vertices are shorter and
     flagged; labels absent from the pool are skipped.
     """
-    pool_vertices = np.asarray(pool_vertices, dtype=np.int64)
-    pool_labels = np.asarray(pool_labels, dtype=np.int64)
-    if len(pool_vertices) == 0:
-        raise DataError("BFS sampling needs a non-empty pool")
-    K = int(num_classes) if num_classes is not None else (
-        g.num_classes if g.labels is not None else int(pool_labels.max()) + 1)
-    in_pool = np.zeros(g.n, dtype=bool)
-    in_pool[pool_vertices] = True
-    label_lookup = np.full(g.n, -1, dtype=np.int64)
-    label_lookup[pool_vertices] = pool_labels
-    samples = []
-    idx = 0
-    for label in range(K):
-        members = pool_vertices[pool_labels == label]
-        if len(members) == 0:
-            warnings.warn(f"BFS sampler: label {label} absent from the pool, skipped")
-            continue
-        rng_starts = np.random.default_rng(np.random.SeedSequence([seed, 0, label]))
-        starts = rng_starts.choice(members, size=min(seeds_per_label, len(members)),
-                                   replace=False)
-        for start in starts:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, idx]))
-            collected = _bfs_collect(g, in_pool, int(start), n, rng)
-            labels = label_lookup[collected]
-            samples.append(ShiftSample(
-                vertices=collected, true_prev=_realized_prev(labels, K),
-                sampler="bfs", seed=seed,
-                params={"sample": idx, "n": n, "seeds_per_label": seeds_per_label,
-                        "label": label},
-                start=int(start), flagged=len(collected) < n))
-            idx += 1
-    return samples
+    def collect(in_pool, start, rng):
+        return _bfs_collect(g, in_pool, start, n, rng)
+    return _start_vertex_samples("bfs", g, pool_vertices, pool_labels, seeds_per_label, seed,
+                                 num_classes, collect, {"n": n})
 
 
 def _bfs_collect(g: Graph, in_pool: np.ndarray, start: int, n: int,
-                 rng: np.random.Generator) -> np.ndarray:
+                 rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     visited = np.zeros(g.n, dtype=bool)
     visited[start] = True
     collected = []
@@ -207,7 +220,7 @@ def _bfs_collect(g: Graph, in_pool: np.ndarray, start: int, n: int,
                     nxt.append(u)
         rng.shuffle(nxt)
         frontier = nxt
-    return np.asarray(collected, dtype=np.int64)
+    return np.asarray(collected, dtype=np.int64), len(collected) < n
 
 
 def sample_rw(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAULT_SEEDS_PER_LABEL,
@@ -218,40 +231,14 @@ def sample_rw(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAU
     until n distinct pool vertices have been visited or the step budget of
     1000*n runs out (then flagged).
     """
-    pool_vertices = np.asarray(pool_vertices, dtype=np.int64)
-    pool_labels = np.asarray(pool_labels, dtype=np.int64)
-    if len(pool_vertices) == 0:
-        raise DataError("RW sampling needs a non-empty pool")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0,1], got {alpha}")
-    K = int(num_classes) if num_classes is not None else (
-        g.num_classes if g.labels is not None else int(pool_labels.max()) + 1)
-    in_pool = np.zeros(g.n, dtype=bool)
-    in_pool[pool_vertices] = True
-    label_lookup = np.full(g.n, -1, dtype=np.int64)
-    label_lookup[pool_vertices] = pool_labels
-    samples = []
-    idx = 0
-    for label in range(K):
-        members = pool_vertices[pool_labels == label]
-        if len(members) == 0:
-            warnings.warn(f"RW sampler: label {label} absent from the pool, skipped")
-            continue
-        rng_starts = np.random.default_rng(np.random.SeedSequence([seed, 0, label]))
-        starts = rng_starts.choice(members, size=min(seeds_per_label, len(members)),
-                                   replace=False)
-        for start in starts:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 1, idx]))
-            collected, flagged = _rw_collect(g, in_pool, int(start), n, walk_len, alpha, rng)
-            labels = label_lookup[collected]
-            samples.append(ShiftSample(
-                vertices=collected, true_prev=_realized_prev(labels, K),
-                sampler="rw", seed=seed,
-                params={"sample": idx, "n": n, "seeds_per_label": seeds_per_label,
-                        "walk_len": walk_len, "alpha": alpha, "label": label},
-                start=int(start), flagged=flagged))
-            idx += 1
-    return samples
+
+    def collect(in_pool, start, rng):
+        return _rw_collect(g, in_pool, start, n, walk_len, alpha, rng)
+    return _start_vertex_samples("rw", g, pool_vertices, pool_labels, seeds_per_label, seed,
+                                 num_classes, collect,
+                                 {"n": n, "walk_len": walk_len, "alpha": alpha})
 
 
 def _rw_collect(g: Graph, in_pool: np.ndarray, start: int, n: int, walk_len: int,

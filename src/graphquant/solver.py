@@ -31,6 +31,9 @@ class SimplexLsqResult:
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {q >= 0, sum q = 1} (sort-based, O(K log K))."""
+    # the projection is shift-invariant; with the largest entry at 0 the threshold
+    # search always finds its first candidate, even when |v| dwarfs 1
+    v = v - v.max()
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     ks = np.arange(1, len(v) + 1)

@@ -48,6 +48,8 @@ def load_predictions_by_line(path, n, K):
             row = np.asarray([float(t) for t in toks])
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric probability")
+        if not np.isfinite(row).all():
+            raise DataError(f"{path}:{lineno}: non-finite probability")
         if row.min() < 0:
             raise DataError(f"{path}:{lineno}: negative probability")
         s = row.sum()
@@ -62,17 +64,20 @@ def load_predictions_by_line(path, n, K):
 @st.composite
 def soft_row(draw, K):
     """K probabilities, sometimes off the simplex by 1e-9 or 1e-5, negative,
-    non-numeric, padded with blanks or with a column too many or too few."""
+    non-numeric, non-finite, padded with blanks or with a column too many or
+    too few."""
     weights = draw(st.lists(st.integers(0, 9), min_size=K, max_size=K))
     weights[0] += 1
     probs = [w / sum(weights) for w in weights]
     probs[0] += draw(st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 1e-5, -2.0]))
     toks = [repr(p) for p in probs]
-    edit = draw(st.sampled_from(["none", "none", "none", "pad", "abc", "extra", "drop"]))
+    edit = draw(st.sampled_from(["none", "none", "none", "pad", "abc", "nan", "extra", "drop"]))
     if edit == "pad":
         toks = [f" {t}\t" for t in toks]
     elif edit == "abc":
         toks[-1] = "abc"
+    elif edit == "nan":
+        toks[-1] = draw(st.sampled_from(["nan", "inf", "-inf"]))
     elif edit == "extra":
         toks.append("0.0")
     elif edit == "drop":
@@ -196,6 +201,16 @@ class TestPredictionFiles:
         path.write_text("0.5000001,0.5\n0.5,0.5\n")
         preds = load_predictions(path, n=2, K=2)
         assert preds.soft[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_probability_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        # a NaN row passes both the negativity and the row-sum check
+        path.write_text("0.5,0.5\nnan,nan\n")
+        with pytest.raises(DataError, match=":2: non-finite probability"):
+            load_predictions(path, n=2, K=2)
+        path.write_text("inf,0\n0.5,0.5\n")
+        with pytest.raises(DataError, match=":1: non-finite probability"):
+            load_predictions(path, n=2, K=2)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -97,6 +97,28 @@ class TestQuantify:
         assert len(payload["prevalences"]) == 3
         assert abs(sum(payload["prevalences"]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("quantifier,message", [
+        ("{base: acc, nac: true}", "unknown key 'nac'"),
+        ("{base: acc, kernel_q: {kind: ppr, mode: dense}}", "unknown key 'mode'"),
+        ("{base: acc", "invalid YAML"),
+        ("acc", "must be a mapping"),
+    ])
+    def test_bad_quantifier_spec_is_config_error(self, tmp_path, quantifier, message, capsys):
+        edges, labels = make_graph_files(tmp_path)
+        split = tmp_path / "split.csv"
+        run("split", "--edges", edges, "--labels", labels,
+            "--fractions", "0.3,0.3,0.4", "--out", split)
+        preds = tmp_path / "preds.csv"
+        run("classify", "--edges", edges, "--labels", labels, "--split", split,
+            "--variant", "enq", "--out", preds)
+        test_ids = tmp_path / "test.txt"
+        test_ids.write_text("".join(f"{v}\n" for v in range(80, 120)))
+        code = run("quantify", "--edges", edges, "--labels", labels, "--split", split,
+                   "--preds", preds, "--quantifier", quantifier, "--test", test_ids,
+                   "--out", tmp_path / "prev.json")
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_sample_index_input(self, tmp_path):
         edges, labels = make_graph_files(tmp_path)
         split = tmp_path / "split.csv"

@@ -9,15 +9,15 @@ from graphquant.estimation import (HARD, SOFT, PredictionSet,
                                    nacc_confusion_estimate, nacc_features,
                                    nacc_prevalence, prevalence_vector)
 from graphquant.graph import Graph
-from graphquant.kernels import KernelMatrix, KernelSpec, evaluate_kernel
+from graphquant.kernels import KernelSpec, make_evaluator
 
 from test_graph import random_graph
 
 
-def km(values):
+def block_kernel(values):
+    """The linear map D -> values @ D: a kernel given by its rows."""
     values = np.asarray(values, dtype=np.float64)
-    return KernelMatrix(rows=np.arange(values.shape[0]),
-                        cols=np.arange(values.shape[1]), values=values)
+    return lambda dists: values @ dists
 
 
 class TestPredictionSet:
@@ -35,6 +35,12 @@ class TestPredictionSet:
         with pytest.raises(DataError):
             PredictionSet.from_soft(np.array([[-0.1, 1.1]]))
 
+    def test_non_finite_soft_rows_rejected(self):
+        # a NaN row would otherwise pass the checks and get hard label 0
+        for bad in ([[np.nan, np.nan]], [[np.inf, 0.0]], [[0.5, 0.5], [np.nan, 1.0]]):
+            with pytest.raises(DataError, match="finite"):
+                PredictionSet.from_soft(np.array(bad))
+
     def test_missing_channel_raises(self):
         p = PredictionSet.from_hard([0, 1], K=2)
         with pytest.raises(ConfigError):
@@ -43,20 +49,25 @@ class TestPredictionSet:
 
 class TestKdeDensity:
     def test_constant_kernel_gives_one(self):
-        assert np.array_equal(kde_density(km(np.ones((3, 5)))), np.ones(3))
+        g = random_graph(5, 0.3, seed=0)
+        kernel = make_evaluator(KernelSpec.constant(), g, [0, 1, 2])
+        assert np.array_equal(kde_density(kernel, [[0, 1, 2, 3, 4]], g.n), np.ones((3, 1)))
 
     def test_row_mean(self):
-        assert kde_density(km([[0.2, 0.4]]))[0] == pytest.approx(0.3, abs=1e-15)
+        density = kde_density(block_kernel([[0.2, 0.4]]), [[0, 1], [1, 1, 0]], 2)
+        assert density[0, 0] == pytest.approx(0.3, abs=1e-15)
+        # duplicates count once per occurrence
+        assert density[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_ppr_row(self):
         g = Graph.from_edges(2, [(0, 1)])
         spec = KernelSpec.ppr(alpha=0.1, walk_len=1, interp=1.0)
-        d = kde_density(evaluate_kernel(spec, g, [0], [0, 1]))
-        assert d[0] == pytest.approx(0.5, abs=1e-12)
+        d = kde_density(make_evaluator(spec, g, [0]), [[0, 1]], g.n)
+        assert d[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(DataError):
-            kde_density(km(np.ones((2, 0))))
+            kde_density(block_kernel(np.ones((2, 3))), [[0], []], 3)
 
 
 class TestDensityRatio:
@@ -251,8 +262,9 @@ class TestConstantKernelReducesToUnweighted:
         train = np.arange(0, 20)
         labels = rng.integers(0, 3, 20)
         test = np.arange(20, 40)
-        q_d = kde_density(evaluate_kernel(KernelSpec.constant(), g, train, test))
-        p_d = kde_density(evaluate_kernel(KernelSpec.constant(), g, train, train))
+        kernel = make_evaluator(KernelSpec.constant(), g, train)
+        q_d = kde_density(kernel, [test], g.n)[:, 0]
+        p_d = kde_density(kernel, [train], g.n)[:, 0]
         weights = density_ratio(q_d, p_d)
         weighted = confusion_estimate(p, train, labels, weights=weights)
         unweighted = confusion_estimate(p, train, labels, weights=None)

@@ -266,7 +266,7 @@ class TestHoisting:
             repetitions=2)
 
     def test_kernels_and_fits_built_once_per_repetition(self, tmp_path, monkeypatch):
-        calls = {"make_evaluator": 0, "make_ppr_density": 0, "fit_classifier": 0}
+        calls = {"make_evaluator": 0, "fit_classifier": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -277,13 +277,11 @@ class TestHoisting:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(quantifiers, "make_evaluator")
-        counting(quantifiers, "make_ppr_density")
         counting(harness, "fit_classifier")
         run_experiment(self.hoisting_config(tmp_path), write_csv=False)
-        # per repetition: the dense ppr kernel_q, the default constant kernel_p and
+        # per repetition: the ppr kernel_q, the default constant kernel_p and
         # one fit per classifier
-        assert calls == {"make_evaluator": 1 * 2, "make_ppr_density": 1 * 2,
-                         "fit_classifier": 2 * 2}
+        assert calls == {"make_evaluator": 2 * 2, "fit_classifier": 2 * 2}
 
     def test_rows_equal_unhoisted_run(self, tmp_path, monkeypatch):
         cfg = self.hoisting_config(tmp_path)

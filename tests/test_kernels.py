@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,16 +8,83 @@ from hypothesis import strategies as st
 
 from graphquant import kernels
 from graphquant.errors import ConfigError
-from graphquant.graph import Graph
-from graphquant.kernels import (KernelSpec, evaluate_kernel, make_evaluator, make_ppr_density,
-                                normalized_adjacency_dense, ppr_matrix_dense, ppr_matrix_rows,
-                                ppr_matrix_sparse_pruned)
+from graphquant.estimation import kde_density
+from graphquant.graph import UNREACHABLE, Graph
+from graphquant.kernels import (KernelSpec, make_evaluator, normalized_adjacency_sparse,
+                                ppr_matrix_dense, ppr_matrix_sparse_pruned)
 
-from test_graph import random_graph, small_graphs
+from test_graph import frontier_bfs, random_graph, small_graphs
 
 
 def two_path():
     return Graph.from_edges(2, [(0, 1)])
+
+
+def kernel_values(spec, g, rows, cols):
+    """k(rows[i], cols[j]): the evaluator applied to the indicator columns of cols."""
+    return make_evaluator(spec, g, rows)(np.eye(g.n)[:, cols])
+
+
+def oracle_kernel_matrix(spec, g):
+    """The full n x n kernel matrix from the slow oracles: the dense matrix power,
+    a Python frontier BFS, explicit feature inner products."""
+    if spec.kind == kernels.CONSTANT:
+        return np.ones((g.n, g.n))
+    if spec.kind == kernels.PPR:
+        return spec.interp * ppr_matrix_dense(g, spec.alpha, spec.walk_len) + (1.0 - spec.interp)
+    if spec.kind == kernels.SHORTEST_PATH:
+        hops = np.stack([frontier_bfs(g, s) for s in range(g.n)])
+        values = np.exp(-spec.gamma * hops.astype(np.float64))
+        values[hops == UNREACHABLE] = 0.0
+        return values
+    return np.maximum(g.features @ g.features.T, 0.0)
+
+
+def dense_normalized_adjacency(g):
+    """A @ D^-1 built entry by entry in a dense array, isolated vertices
+    self-absorbing: the oracle for normalized_adjacency_sparse."""
+    a = g.adjacency_csr().toarray()
+    deg = g.degrees.astype(np.float64)
+    abar = np.zeros_like(a)
+    nz = deg > 0
+    abar[:, nz] = a[:, nz] / deg[nz]
+    iso = np.where(~nz)[0]
+    abar[iso, iso] = 1.0
+    return abar
+
+
+kernel_specs = st.one_of(
+    st.just(KernelSpec.constant()),
+    st.builds(KernelSpec.ppr, alpha=st.floats(0.01, 0.99), walk_len=st.integers(1, 12),
+              interp=st.floats(0.0, 1.0)),
+    st.builds(KernelSpec.shortest_path, gamma=st.floats(0.1, 5.0)),
+    st.just(KernelSpec.feature()))
+
+
+class TestMakeEvaluator:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), g=small_graphs(), spec=kernel_specs)
+    def test_matches_oracle_kernel_matrix(self, data, g, spec):
+        d = data.draw(st.integers(1, 3))
+        feats = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=g.n * d, max_size=g.n * d))
+        g = dataclasses.replace(g, features=np.asarray(feats).reshape(g.n, d))
+        vertex = st.integers(0, g.n - 1)
+        rows = np.asarray(data.draw(st.lists(vertex, max_size=2 * g.n)), dtype=np.int64)
+        oracle = oracle_kernel_matrix(spec, g)[rows]
+        evaluator = make_evaluator(spec, g, rows)
+
+        # indicator columns give kernel values
+        values = evaluator(np.eye(g.n))
+        assert values.shape == (len(rows), g.n)
+        assert np.allclose(values, oracle, rtol=0.0, atol=1e-12)
+
+        # empirical distributions give the mean kernel value (duplicates count)
+        samples = [np.asarray(cols, dtype=np.int64) for cols in data.draw(
+            st.lists(st.lists(vertex, min_size=1, max_size=3 * g.n), min_size=1, max_size=3))]
+        density = kde_density(evaluator, samples, g.n)
+        assert density.shape == (len(rows), len(samples))
+        for j, cols in enumerate(samples):
+            assert np.allclose(density[:, j], oracle[:, cols].mean(axis=1), rtol=0.0, atol=1e-12)
 
 
 class TestPprDense:
@@ -41,10 +109,16 @@ class TestPprDense:
 
     def test_isolated_vertex_column_self_absorbs(self):
         g = Graph.from_edges(3, [(0, 1)])
-        abar = normalized_adjacency_dense(g)
+        abar = normalized_adjacency_sparse(g).toarray()
         assert abar[2, 2] == 1.0
         pi = ppr_matrix_dense(g, 0.2, 4)
         assert np.abs(pi.sum(axis=0) - 1.0).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs())
+    def test_normalized_adjacency_bit_identical_to_dense_oracle(self, g):
+        assert np.array_equal(normalized_adjacency_sparse(g).toarray(),
+                              dense_normalized_adjacency(g))
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -84,32 +158,40 @@ class TestPprSparsePruned:
 
 
 class TestPprRows:
+    """Walk-probability rows: the ppr evaluator at interp 1 on indicator columns."""
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), g=small_graphs(),
-           alpha=st.floats(0.01, 0.99), walk_len=st.integers(0, 12))
+           alpha=st.floats(0.01, 0.99), walk_len=st.integers(1, 12))
     def test_matches_dense_oracle_rows(self, data, g, alpha, walk_len):
         rows = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
-        got = ppr_matrix_rows(g, alpha, walk_len, rows)
+        spec = KernelSpec.ppr(alpha=alpha, walk_len=walk_len, interp=1.0)
+        got = kernel_values(spec, g, rows, range(g.n))
         assert got.shape == (len(rows), g.n)
         assert np.allclose(got, ppr_matrix_dense(g, alpha, walk_len)[rows],
                            rtol=0.0, atol=1e-12)
 
     def test_zero_steps_is_indicator(self):
+        # a ppr spec needs walk_len >= 1; zero steps are read off the pruned matrix
         g = random_graph(6, 0.4, seed=3)
-        assert np.array_equal(ppr_matrix_rows(g, 0.2, 0, [4, 1]), np.eye(6)[[4, 1]])
+        got = ppr_matrix_sparse_pruned(g, 0.2, 0, 0.0).toarray()[[4, 1]]
+        assert np.array_equal(got, np.eye(6)[[4, 1]])
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ConfigError):
-            ppr_matrix_rows(two_path(), alpha=1.0, walk_len=1, rows=[0])
+        for bad_alpha in (0.0, 1.0):
+            with pytest.raises(ConfigError):
+                ppr_matrix_sparse_pruned(two_path(), alpha=bad_alpha, walk_len=1, threshold=0.0)
+            with pytest.raises(ConfigError):
+                make_evaluator(KernelSpec.ppr(alpha=bad_alpha, walk_len=1), two_path(), [0])
 
     def test_dense_mode_never_builds_full_matrix(self, monkeypatch):
         def full_matrix(*args):
             raise AssertionError("n x n walk matrix built")
-        monkeypatch.setattr(kernels, "ppr_matrix_dense", full_matrix)
-        monkeypatch.setattr(kernels, "normalized_adjacency_dense", full_matrix)
+        for name in ("ppr_matrix_dense", "ppr_matrix_sparse_pruned"):
+            monkeypatch.setattr(kernels, name, full_matrix)
         g = random_graph(20, 0.2, seed=9)
-        km = evaluate_kernel(KernelSpec.ppr(interp=1.0), g, [3, 0], range(20))
-        assert km.values.shape == (2, 20)
+        values = kernel_values(KernelSpec.ppr(interp=1.0), g, [3, 0], range(20))
+        assert values.shape == (2, 20)
 
 
 class TestPprDensity:
@@ -123,96 +205,90 @@ class TestPprDensity:
         samples = [np.asarray(cols, dtype=np.int64) for cols in data.draw(
             st.lists(st.lists(vertex, min_size=1, max_size=3 * g.n), min_size=1, max_size=3))]
         spec = KernelSpec.ppr(alpha=alpha, walk_len=walk_len, interp=interp)
-        got = make_ppr_density(spec, g, rows)(samples)
+        got = kde_density(make_evaluator(spec, g, rows), samples, g.n)
         assert got.shape == (len(rows), len(samples))
         pi = ppr_matrix_dense(g, alpha, walk_len)
-        evaluator = make_evaluator(spec, g, rows)
         for j, cols in enumerate(samples):
-            by_evaluator = evaluator(cols).mean(axis=1)
-            assert np.allclose(got[:, j], by_evaluator, rtol=0.0, atol=1e-12)
+            by_indicators = kernel_values(spec, g, rows, cols).mean(axis=1)
+            assert np.allclose(got[:, j], by_indicators, rtol=0.0, atol=1e-12)
             oracle = (interp * pi[np.ix_(rows, cols)] + (1.0 - interp)).mean(axis=1)
             assert np.allclose(got[:, j], oracle, rtol=0.0, atol=1e-12)
 
     def test_builds_no_row_block(self, monkeypatch):
-        def block(*args):
-            raise AssertionError("walk-probability rows built")
-        for name in ("ppr_matrix_rows", "ppr_matrix_dense", "normalized_adjacency_dense"):
-            monkeypatch.setattr(kernels, name, block)
+        def walk_matrix(*args):
+            raise AssertionError("n x n walk matrix built")
+        for name in ("ppr_matrix_dense", "ppr_matrix_sparse_pruned"):
+            monkeypatch.setattr(kernels, name, walk_matrix)
         g = random_graph(20, 0.2, seed=9)
-        density = make_ppr_density(KernelSpec.ppr(), g, [3, 0])
-        assert density([[1, 1, 5], [7]]).shape == (2, 2)
+        density = kde_density(make_evaluator(KernelSpec.ppr(), g, [3, 0]), [[1, 1, 5], [7]], g.n)
+        assert density.shape == (2, 2)
 
 
 class TestEvaluateKernel:
+    """Per-pair kernel values, read off the evaluator applied to indicator columns."""
+
     def test_constant_all_ones(self):
         g = random_graph(10, 0.3, seed=1)
-        km = evaluate_kernel(KernelSpec.constant(), g, [0, 1, 2], [3, 4])
-        assert np.array_equal(km.values, np.ones((3, 2)))
+        assert np.array_equal(kernel_values(KernelSpec.constant(), g, [0, 1, 2], [3, 4]),
+                              np.ones((3, 2)))
 
     def test_shortest_path_values(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        km = evaluate_kernel(KernelSpec.shortest_path(gamma=3.0), g, [0], [0, 1, 2])
-        assert km.values[0, 0] == 1.0
-        assert km.values[0, 1] == pytest.approx(math.exp(-3.0), abs=1e-12)
-        assert km.values[0, 2] == pytest.approx(math.exp(-6.0), abs=1e-12)
+        values = kernel_values(KernelSpec.shortest_path(gamma=3.0), g, [0], [0, 1, 2])
+        assert values[0, 0] == 1.0
+        assert values[0, 1] == pytest.approx(math.exp(-3.0), abs=1e-12)
+        assert values[0, 2] == pytest.approx(math.exp(-6.0), abs=1e-12)
 
     def test_shortest_path_disconnected_is_zero(self):
         g = Graph.from_edges(3, [(0, 1)])
-        km = evaluate_kernel(KernelSpec.shortest_path(gamma=3.0), g, [0], [2])
-        assert km.values[0, 0] == 0.0
+        values = kernel_values(KernelSpec.shortest_path(gamma=3.0), g, [0], [2])
+        assert values[0, 0] == 0.0
 
     def test_shortest_path_monotone_in_distance(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        km = evaluate_kernel(KernelSpec.shortest_path(gamma=0.5), g, [0], range(5))
-        vals = km.values[0]
+        vals = kernel_values(KernelSpec.shortest_path(gamma=0.5), g, [0], range(5))[0]
         assert all(vals[i] > vals[i + 1] for i in range(4))
         assert vals[0] == 1.0
 
     def test_interpolated_ppr_entry(self):
-        km = evaluate_kernel(KernelSpec.ppr(alpha=0.1, walk_len=1, interp=0.9),
-                             two_path(), [0], [1])
-        assert km.values[0, 0] == pytest.approx(0.91, abs=1e-12)
+        values = kernel_values(KernelSpec.ppr(alpha=0.1, walk_len=1, interp=0.9),
+                               two_path(), [0], [1])
+        assert values[0, 0] == pytest.approx(0.91, abs=1e-12)
 
     def test_interpolated_range(self):
         g = random_graph(25, 0.15, seed=4)
         spec = KernelSpec.ppr(alpha=0.1, walk_len=10, interp=0.9)
-        km = evaluate_kernel(spec, g, range(25), range(25))
-        assert km.values.min() >= 1.0 - 0.9 - 1e-12
-        assert km.values.max() <= 1.0 + 1e-12
-
-    def test_sparse_mode_matches_dense_mode(self):
-        g = random_graph(30, 0.15, seed=5)
-        rows, cols = [0, 5, 7], [1, 2, 3, 4]
-        dense = evaluate_kernel(KernelSpec.ppr(mode="dense"), g, rows, cols)
-        sparse = evaluate_kernel(KernelSpec.ppr(mode="sparse"), g, rows, cols)
-        assert np.abs(dense.values - sparse.values).max() < 1e-9
+        values = kernel_values(spec, g, range(25), range(25))
+        assert values.min() >= 1.0 - 0.9 - 1e-12
+        assert values.max() <= 1.0 + 1e-12
 
     def test_feature_kernel_clamps_negative(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 2.0]])
         g = Graph.from_edges(3, [(0, 1), (1, 2)], features=feats)
-        km = evaluate_kernel(KernelSpec.feature(), g, [0, 1], [0, 1, 2])
-        assert km.values[0, 1] == 0.0  # inner product -1 clamped
-        assert km.values[0, 0] == 1.0
-        assert km.values[1, 2] == 0.0
+        values = kernel_values(KernelSpec.feature(), g, [0, 1], [0, 1, 2])
+        assert values[0, 1] == 0.0  # inner product -1 clamped
+        assert values[0, 0] == 1.0
+        assert values[1, 2] == 0.0
 
     def test_feature_kernel_requires_features(self):
         with pytest.raises(ConfigError):
-            evaluate_kernel(KernelSpec.feature(), two_path(), [0], [1])
+            make_evaluator(KernelSpec.feature(), two_path(), [0])
 
     def test_orientation_first_argument_is_row(self):
         # star: column normalization makes walk probabilities asymmetric
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
         pi = ppr_matrix_dense(g, 0.1, 1)
         spec = KernelSpec.ppr(alpha=0.1, walk_len=1, interp=1.0)
-        km = evaluate_kernel(spec, g, [1], [0])
-        assert km.values[0, 0] == pytest.approx(pi[1, 0], abs=1e-15)
+        values = kernel_values(spec, g, [1], [0])
+        assert values[0, 0] == pytest.approx(pi[1, 0], abs=1e-15)
         assert pi[1, 0] != pi[0, 1]
 
 
 class TestKernelSpecValidation:
     def test_bad_params_rejected(self):
-        with pytest.raises(ConfigError):
-            KernelSpec.ppr(alpha=1.5)
+        for bad_alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ConfigError):
+                KernelSpec.ppr(alpha=bad_alpha)
         with pytest.raises(ConfigError):
             KernelSpec.ppr(walk_len=0)
         with pytest.raises(ConfigError):

@@ -166,6 +166,25 @@ class TestBfs:
             assert np.array_equal(s1.vertices, s2.vertices)
 
 
+class TestStartVertices:
+    def test_bfs_and_rw_draw_the_same_starts(self):
+        g = generate_sbm([15, 15, 15], 0.3, 0.02, seed=4)
+        pool = np.arange(0, 45, 2)
+        bfs = sample_bfs(g, pool, g.labels[pool], seeds_per_label=3, n=5, seed=9)
+        rw = sample_rw(g, pool, g.labels[pool], seeds_per_label=3, n=5, seed=9)
+        assert [(s.start, s.params["label"], s.params["sample"]) for s in bfs] \
+            == [(s.start, s.params["label"], s.params["sample"]) for s in rw]
+        assert all(g.labels[s.start] == s.params["label"] for s in bfs)
+
+    def test_classes_inferred_from_pool_labels_without_graph_labels(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        for sampler in (sample_bfs, sample_rw):
+            with pytest.warns(UserWarning, match="label 1 absent"):
+                samples = sampler(g, [0, 1, 2, 3], [0, 0, 2, 2], seeds_per_label=1, n=2)
+            assert [len(s.true_prev) for s in samples] == [3, 3]
+            assert [s.params["label"] for s in samples] == [0, 2]
+
+
 class TestRw:
     def test_two_vertex_path_visits_both(self):
         g = Graph.from_edges(2, [(0, 1)], labels=[0, 1])

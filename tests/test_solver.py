@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphquant.errors import ConfigError
@@ -131,6 +131,8 @@ def lsq_instances(draw, max_k=4):
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(lsq_instances())
+    # a step of 1/Lipschitz ~ 1e293 pushed the projection's input past 2**53
+    @example((np.array([[0.0, 2.2e-147], [0.0, 0.0]]), np.array([1.0, 0.0])))
     def test_output_on_simplex(self, instance):
         C, p = instance
         r = solve_simplex_lsq(C, p)
@@ -158,3 +160,9 @@ class TestProperties:
         assert abs(proj.sum() - 1.0) < 1e-9
         again = project_to_simplex(proj)
         assert np.abs(again - proj).max() < 1e-12
+
+    def test_projection_of_entries_beyond_float_precision(self):
+        # cumulative sums lose the 1 of the simplex constraint once an entry exceeds 2**53
+        proj = project_to_simplex(np.array([0.5, 4.4e146]))
+        assert np.array_equal(proj, [0.0, 1.0])
+        assert np.array_equal(project_to_simplex(np.array([2.0 ** 60, 2.0 ** 60])), [0.5, 0.5])
