@@ -6,14 +6,13 @@ externally trained model outputs are loaded from files instead.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .estimation import PredictionSet
-from .graph import Graph
+from .graph import Graph, parse_table
 
 DEFAULT_LP_ITERATIONS = 50
 DEFAULT_LP_DAMPING = 0.85
@@ -96,47 +95,42 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
     Soft rows whose sum is off by at most 1e-6 are renormalized; anything
     further from the simplex is rejected.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [line for line in text.split("\n") if line.strip()]
-    if len(rows) != n:
-        raise DataError(f"{path}: expected {n} prediction rows, got {len(rows)}")
-    if n == 0:
+    with open(path, "r", encoding="utf-8") as f:
+        first = next(filter(str.strip, f), "")
+    arity = 1 if "," not in first else K
+    values = parse_table(path, np.int64 if arity == 1 else np.float64,
+                         lambda exc: _prediction_row_error(path, n, K, exc), delimiter=",")
+    if len(values) == n == 0:
         return PredictionSet.from_hard(np.empty(0, dtype=np.int64), K)
-    arity = rows[0].count(",") + 1
-    if arity not in (1, K):
-        raise DataError(f"{path}: rows must have 1 or {K} columns, got {arity}")
-    try:
-        with warnings.catch_warnings():
-            # numpy from 1.23 on may parse an int token such as '1.0' through float, with only
-            # a DeprecationWarning; make that a rejection as well
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.loadtxt(rows, dtype=np.int64 if arity == 1 else np.float64,
-                                delimiter=",", comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning) as exc:
-        raise _prediction_row_error(path, text, K, exc) from None
-    if arity == 1:
-        if not ((values < 0) | (values >= K)).any():
-            return PredictionSet.from_hard(values.ravel(), K)
-    else:
-        sums = values.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        # NaN fails both comparisons, so finiteness is checked first
-        if np.isfinite(values).all() and not (values < 0).any() and not (off > 1e-6).any():
-            renorm = off > 1e-12
-            values[renorm] /= sums[renorm, None]
-            return PredictionSet.from_soft(values)
-    raise _prediction_row_error(path, text, K, None)
+    if values.shape == (n, arity):
+        if arity == 1:
+            if not ((values < 0) | (values >= K)).any():
+                return PredictionSet.from_hard(values.ravel(), K)
+        else:
+            sums = values.sum(axis=1)
+            off = np.abs(sums - 1.0)
+            # NaN fails both comparisons, so finiteness is checked first
+            if np.isfinite(values).all() and not (values < 0).any() and not (off > 1e-6).any():
+                renorm = off > 1e-12
+                values[renorm] /= sums[renorm, None]
+                return PredictionSet.from_soft(values)
+    raise _prediction_row_error(path, n, K, None)
 
 
-def _prediction_row_error(path, text: str, K: int, exc) -> DataError:
-    """The error for the first offending row of a rejected predictions file;
-    the file is only scanned row by row here."""
+def _prediction_row_error(path, n: int, K: int, exc) -> DataError:
+    """The error for a rejected predictions file: a wrong row count or arity,
+    or else its first offending row; the file is only scanned row by row here."""
+    text = Path(path).read_text(encoding="utf-8")
     numbered = [(lineno, line.strip()) for lineno, line in enumerate(text.split("\n"), start=1)
                 if line.strip()]
-    hard = "," not in numbered[0][1]
+    if len(numbered) != n:
+        return DataError(f"{path}: expected {n} prediction rows, got {len(numbered)}")
+    arity = numbered[0][1].count(",") + 1
+    if arity not in (1, K):
+        return DataError(f"{path}: rows must have 1 or {K} columns, got {arity}")
     for lineno, line in numbered:
         toks = line.split(",")
-        if hard:
+        if arity == 1:
             if len(toks) != 1:
                 return DataError(f"{path}:{lineno}: expected a single label")
             try:

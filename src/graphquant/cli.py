@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,24 +58,50 @@ def save_split(split: SplitSpec, path) -> None:
 
 
 def load_split(path, n: int) -> SplitSpec:
-    """Read a split file; ids must lie in 0..n-1 and each vertex may appear in
-    at most one role, once."""
-    parts: dict[str, list[str]] = {role: [] for role in SPLIT_ROLES}
+    """Read a split file; every row is 'vertex,role', ids must lie in 0..n-1 and
+    each vertex may appear in at most one role, once."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["vertex", "role"]:
+        if next(csv.reader(f), None) != ["vertex", "role"]:
             raise DataError(f"{path}: expected header 'vertex,role'")
-        for rec in reader:
-            role = rec["role"]
-            if role not in parts:
-                raise DataError(f"{path}: unknown split role {role!r}")
-            parts[role].append(rec["vertex"])
-    roles = [np.sort(check_vertex_ids(parts[role], n, f"{path}: {role}")) for role in SPLIT_ROLES]
-    every = np.sort(np.concatenate(roles))
+    # one C-level parse into a string array: holding one csv.reader list per row
+    # would push thousands of objects through the garbage collector's generations
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a split without rows is valid
+            rows = np.loadtxt(path, dtype=str, delimiter=",", quotechar='"', comments=None,
+                              skiprows=1, ndmin=2, encoding="utf-8")
+    except ValueError:
+        raise _split_row_error(path) from None
+    if rows.size == 0:
+        rows = rows.reshape(0, 2)
+    if rows.shape[1] != 2 or not np.isin(rows[:, 1], SPLIT_ROLES).all():
+        raise _split_row_error(path)
+    vertices, roles = rows.T
+    parts = [np.sort(check_vertex_ids(vertices[roles == role], n, f"{path}: {role}"))
+             for role in SPLIT_ROLES]
+    every = np.sort(np.concatenate(parts))
     repeated = every[1:][every[1:] == every[:-1]]
     if repeated.size:
         raise DataError(f"{path}: vertex {repeated[0]} is listed more than once")
-    return SplitSpec(*roles)
+    return SplitSpec(*parts)
+
+
+def _split_row_error(path) -> DataError:
+    """The error for the first row of a rejected split file that is not a
+    'vertex,role' pair with a known role; the file is only scanned row by row
+    here."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                return DataError(f"{path}:{reader.line_num}: expected 'vertex,role', "
+                                 f"got {len(row)} fields")
+            if row[1] not in SPLIT_ROLES:
+                return DataError(f"{path}: unknown split role {row[1]!r}")
+    return DataError(f"{path}: malformed split rows")
 
 
 def cmd_gen_graph(args) -> int:
@@ -189,7 +217,9 @@ def _add_graph_args(p, features=True):
         p.set_defaults(features=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(prog="graphquant",
                                      description="Graph quantification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

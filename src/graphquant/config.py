@@ -111,8 +111,9 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     def resolve(p):
         return None if p is None else str((base_dir / p) if not Path(p).is_absolute() else Path(p))
 
+    _section(raw, _TOP_KEYS, "config")
     dataset = _parse_dataset(_require(raw, "dataset"), resolve)
-    split = raw.get("split", {}) or {}
+    split = _section(raw.get("split") or {}, _SPLIT_KEYS, "split")
     fractions = tuple(split.get("fractions", DEFAULT_FRACTIONS))
     if len(fractions) != 3:
         raise ConfigError(f"split fractions must have 3 entries, got {fractions}")
@@ -132,13 +133,20 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
-def _parse_dataset(raw: dict, resolve) -> DatasetConfig:
+def _section(raw, allowed, what: str) -> dict:
+    """`raw`, checked to be a mapping whose keys are all in `allowed`."""
     if not isinstance(raw, dict):
-        raise ConfigError("dataset must be a mapping")
+        raise ConfigError(f"{what} must be a mapping")
+    _reject_unknown_keys(raw, allowed, what)
+    return raw
+
+
+def _parse_dataset(raw: dict, resolve) -> DatasetConfig:
+    _section(raw, _DATASET_KEYS, "dataset")
     name = raw.get("name", "dataset")
     sbm = None
     if "sbm" in raw and raw["sbm"] is not None:
-        s = raw["sbm"]
+        s = _section(raw["sbm"], _SBM_KEYS, "sbm")
         try:
             sbm = SbmParams(blocks=tuple(int(b) for b in s["blocks"]),
                             p_in=float(s["p_in"]), p_out=float(s["p_out"]),
@@ -156,6 +164,7 @@ def _parse_dataset(raw: dict, resolve) -> DatasetConfig:
 
 
 def _parse_classifier(raw: dict, index: int, resolve) -> ClassifierConfig:
+    _section(raw, _CLASSIFIER_KEYS, f"classifier #{index}")
     kind = raw.get("kind")
     if kind not in (ENQ, LABEL_PROP, EXTERNAL):
         raise ConfigError(f"classifier #{index}: unknown kind {kind!r}")
@@ -170,6 +179,15 @@ def _parse_classifier(raw: dict, index: int, resolve) -> ClassifierConfig:
                             damping=damping, path=resolve(raw.get("path")))
 
 
+# the keys each config section takes
+_TOP_KEYS = ("dataset", "split", "classifiers", "quantifiers", "shifts", "repetitions", "seed",
+             "output")
+_DATASET_KEYS = ("name", "edges", "labels", "features", "sbm")
+_SBM_KEYS = ("blocks", "p_in", "p_out", "block_labels", "seed")
+_SPLIT_KEYS = ("fractions",)
+_CLASSIFIER_KEYS = ("name", "kind", "iterations", "damping", "path")
+_SHIFT_KEYS = ("name", "kind", "n", "num_dists", "zipf_exponent", "seeds_per_label", "walk_len",
+               "alpha")
 # the keys each kernel kind takes, besides "kind"
 _KERNEL_KEYS = {kernels.CONSTANT: (), kernels.PPR: ("alpha", "walk_len", "interp"),
                kernels.SHORTEST_PATH: ("gamma",), kernels.FEATURE: ()}
@@ -224,6 +242,7 @@ def _parse_quantifier(raw: dict, index: int) -> QuantifierConfig:
 
 
 def _parse_shift(raw: dict, index: int) -> ShiftConfig:
+    _section(raw, _SHIFT_KEYS, f"shift #{index}")
     kind = raw.get("kind")
     if kind not in ("pps", "bfs", "rw"):
         raise ConfigError(f"shift #{index}: unknown kind {kind!r}")

@@ -7,6 +7,7 @@ lists sorted ascending, no duplicates and no self-loops.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,7 +45,9 @@ class Graph:
             raise DataError("edge array must have shape (m, 2)")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise DataError(f"edge endpoint out of range for n={n}")
-        edges = edges[edges[:, 0] != edges[:, 1]]
+        loops = edges[:, 0] == edges[:, 1]
+        if loops.any():
+            edges = edges[~loops]
         # one int64 key u*n+v per direction; sorted, so rows come out grouped by u
         # with ascending neighbors, and duplicates are adjacent
         keys = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
@@ -103,7 +106,8 @@ def check_vertex_ids(ids, n: int, what: str, nonempty: bool = False) -> np.ndarr
         raise DataError(f"{what}: expected a flat list of vertex ids, got shape {arr.shape}")
     if arr.dtype.kind in "US":
         try:
-            arr = arr.astype(np.int64)
+            # np.array parses a list of strings as int() does, several times faster than astype
+            arr = np.array(arr.tolist(), dtype=np.int64)
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{what}: non-integer vertex id ({exc})") from None
     if arr.dtype.kind not in "iu":
@@ -178,16 +182,38 @@ def save_graph(g: Graph, edge_path, labels_path=None, features_path=None) -> Non
         Path(features_path).write_text("".join(r + "\n" for r in rows))
 
 
-def _parse_edge_file(path) -> np.ndarray:
+# a line of blanks after a newline; np.loadtxt skips such lines only without a delimiter
+_BLANKS_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
+
+
+def parse_table(path, dtype, explain, delimiter=None, comments=None) -> np.ndarray:
+    """The rows of a text file as one 2-D array, parsed by one np.loadtxt call.
+
+    Blank lines are skipped. A rejected file -- a token that is not a number of
+    `dtype`, a ragged row, or an integer that numpy would parse through float --
+    raises `explain(exc)`: the caller's line scan, which only builds the error
+    naming the first offending line. Callers raise `explain(None)` for their own
+    checks on the parsed array.
+    """
+    source = path
+    if delimiter is not None:
+        text = "\n" + Path(path).read_text(encoding="utf-8")
+        if _BLANKS_LINE.search(text):
+            source = _BLANKS_LINE.sub("\n", text).split("\n")
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file without edges is valid
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows is valid
             # numpy from 1.23 on may parse an int token such as '1.5' through float, with only
             # a DeprecationWarning; make that a rejection as well
             warnings.simplefilter("error", DeprecationWarning)
-            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+            return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=comments,
+                              ndmin=2, encoding="utf-8")
     except (ValueError, DeprecationWarning) as exc:
-        raise _edge_line_error(path, exc) from None
+        raise explain(exc) from None
+
+
+def _parse_edge_file(path) -> np.ndarray:
+    edges = parse_table(path, np.int64, lambda exc: _edge_line_error(path, exc), comments="#")
     if edges.size == 0:
         return edges.reshape(0, 2)
     if edges.shape[1] != 2 or edges.min() < 0:
@@ -216,21 +242,39 @@ def _edge_line_error(path, exc) -> DataError:
 
 
 def _parse_labels_file(path) -> np.ndarray:
-    labels = []
+    labels = parse_table(path, np.int64, lambda exc: _labels_line_error(path, exc))
+    if labels.shape[1] != 1:
+        raise _labels_line_error(path, None)
+    return labels.reshape(-1)
+
+
+def _labels_line_error(path, exc) -> DataError:
+    """The error for the first line of a rejected labels file that is not one
+    integer; the file is only scanned line by line here."""
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                labels.append(int(line))
+                int(line)
             except ValueError:
-                raise DataError(f"{path}:{lineno}: expected an integer label, got {line!r}")
-    return np.asarray(labels, dtype=np.int64)
+                return DataError(f"{path}:{lineno}: expected an integer label, got {line!r}")
+    return DataError(f"{path}: {exc}")
 
 
 def _parse_features_file(path, n) -> np.ndarray:
-    rows = []
+    features = parse_table(path, np.float64, lambda exc: _features_line_error(path, exc),
+                           delimiter=",")
+    if len(features) != n:
+        raise DataError(f"features file has {len(features)} rows, expected {n}")
+    return features
+
+
+def _features_line_error(path, exc) -> DataError:
+    """The error for the first line of a rejected features file that is not a
+    comma-separated row of reals as long as the first; the file is only scanned
+    line by line here."""
     arity = None
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -240,15 +284,12 @@ def _parse_features_file(path, n) -> np.ndarray:
             try:
                 row = [float(tok) for tok in line.split(",")]
             except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric feature value")
+                return DataError(f"{path}:{lineno}: non-numeric feature value")
             if arity is None:
                 arity = len(row)
             elif len(row) != arity:
-                raise DataError(f"{path}:{lineno}: expected {arity} columns, got {len(row)}")
-            rows.append(row)
-    if len(rows) != n:
-        raise DataError(f"features file has {len(rows)} rows, expected {n}")
-    return np.asarray(rows, dtype=np.float64)
+                return DataError(f"{path}:{lineno}: expected {arity} columns, got {len(row)}")
+    return DataError(f"{path}: {exc}")
 
 
 def bfs_distances(g: Graph, sources) -> list[DistanceRow]:

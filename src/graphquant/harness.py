@@ -18,7 +18,7 @@ from scipy.special import betainc
 from .classifiers import enq_predict, label_prop_predict, load_predictions
 from .config import (ENQ, EXTERNAL, LABEL_PROP, ClassifierConfig, ExperimentConfig)
 from .errors import ConfigError, DataError, GraphQuantError
-from .graph import Graph, load_graph
+from .graph import Graph, check_vertex_ids, load_graph
 from .quantifiers import quantify_batch
 from .shift import (ShiftSample, generate_sbm, sample_bfs, sample_pps, sample_rw,
                     uniform_split)
@@ -132,6 +132,8 @@ def fit_classifier(cfg: ClassifierConfig, g: Graph, train_vertices, train_labels
 def draw_samples(shift_cfg, g: Graph, pool_vertices, pool_labels, seed: int,
                  num_classes: int) -> list[ShiftSample]:
     if shift_cfg.kind == "pps":
+        # sample_pps sees no graph, so its pool is checked against the graph here
+        pool_vertices = check_vertex_ids(pool_vertices, g.n, "PPS sampling pool", nonempty=True)
         return sample_pps(pool_vertices, pool_labels, num_classes,
                           num_dists=shift_cfg.num_dists, n=shift_cfg.n,
                           zipf_exponent=shift_cfg.zipf_exponent, seed=seed)

@@ -73,17 +73,21 @@ class KernelSpec:
 
 
 def normalized_adjacency_sparse(g: Graph) -> sp.csr_matrix:
-    """Column-normalized adjacency A @ D^-1; isolated vertices self-absorb."""
-    deg = g.degrees.astype(np.float64)
+    """Column-normalized adjacency A @ D^-1; isolated vertices self-absorb.
+
+    Built from the graph's CSR arrays: entry (u, v) is 1/deg(v), and each
+    isolated vertex, whose row is empty, gets its self-loop inserted there, so
+    column indices stay sorted.
+    """
+    deg = g.degrees
     inv = np.zeros(g.n)
     nz = deg > 0
     inv[nz] = 1.0 / deg[nz]
-    abar = g.adjacency_csr() @ sp.diags(inv)
-    iso = np.where(~nz)[0]
-    if len(iso):
-        ident = sp.csr_matrix((np.ones(len(iso)), (iso, iso)), shape=(g.n, g.n))
-        abar = abar + ident
-    return abar.tocsr()
+    iso = np.flatnonzero(~nz)
+    at = g.indptr[iso]
+    indptr = g.indptr + np.concatenate([[0], np.cumsum(~nz)])
+    return sp.csr_matrix((np.insert(inv[g.indices], at, 1.0), np.insert(g.indices, at, iso),
+                          indptr), shape=(g.n, g.n))
 
 
 def _check_ppr_params(alpha, walk_len):

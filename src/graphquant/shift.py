@@ -8,6 +8,7 @@ label histogram of the drawn vertices, never the target distribution.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,10 +153,9 @@ def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
 
     Labels absent from the pool are skipped with a warning.
     """
-    pool_vertices = np.asarray(pool_vertices, dtype=np.int64)
+    pool_vertices = check_vertex_ids(pool_vertices, g.n, f"{sampler.upper()} sampling pool",
+                                     nonempty=True)
     pool_labels = np.asarray(pool_labels, dtype=np.int64)
-    if len(pool_vertices) == 0:
-        raise DataError(f"{sampler.upper()} sampling needs a non-empty pool")
     K = _infer_num_classes(g, pool_labels, num_classes)
     in_pool = np.zeros(g.n, dtype=bool)
     in_pool[pool_vertices] = True
@@ -332,33 +332,50 @@ def _fmt_param(val):
     return str(val)
 
 
+# a line holding '=' is a sample header; every other non-blank line is one vertex id
+_HEADER_LINE = re.compile(r"^(.*=.*)$", re.MULTILINE)
+
+
 def load_sample_sections(path, n: int) -> list[tuple[dict, np.ndarray]]:
     """Parse a samples file back into (header fields, vertex ids) sections;
     ids must lie in 0..n-1."""
-    sections = []
-    header = None
-    vertices: list[int] = []
+    # [text before the first header, header 1, its id lines, header 2, ...]
+    parts = _HEADER_LINE.split(Path(path).read_text(encoding="utf-8"))
+    try:
+        if parts[0].strip():
+            raise ValueError("vertex id before any sample header")
+        # np.array parses each non-blank line as int() does
+        sections = [(dict(tok.split("=", 1) for tok in header.strip().split(",")),
+                     np.array(list(filter(str.strip, body.split("\n"))), dtype=np.int64))
+                    for header, body in zip(parts[1::2], parts[2::2])]
+    except (ValueError, OverflowError) as exc:
+        raise _sample_line_error(path, exc) from None
+    return [(fields, check_vertex_ids(ids, n, f"{path}: sample {i}"))
+            for i, (fields, ids) in enumerate(sections)]
+
+
+def _sample_line_error(path, exc) -> DataError:
+    """The error for the first line of a rejected samples file that is neither
+    a 'key=value,...' header nor one vertex id after a header; the file is only
+    scanned line by line here."""
+    seen_header = False
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line:
                 continue
             if "=" in line:
-                if header is not None:
-                    sections.append((header, np.asarray(vertices, dtype=np.int64)))
-                header = dict(tok.split("=", 1) for tok in line.split(","))
-                vertices = []
+                seen_header = True
+                if not all("=" in tok for tok in line.split(",")):
+                    return DataError(f"{path}:{lineno}: expected 'key=value,...', got {line!r}")
+            elif not seen_header:
+                return DataError(f"{path}:{lineno}: vertex id before any sample header")
             else:
-                if header is None:
-                    raise DataError(f"{path}:{lineno}: vertex id before any sample header")
                 try:
-                    vertices.append(int(line))
+                    int(line)
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: expected a vertex id, got {line!r}")
-    if header is not None:
-        sections.append((header, np.asarray(vertices, dtype=np.int64)))
-    return [(fields, check_vertex_ids(ids, n, f"{path}: sample {i}"))
-            for i, (fields, ids) in enumerate(sections)]
+                    return DataError(f"{path}:{lineno}: expected a vertex id, got {line!r}")
+    return DataError(f"{path}: {exc}")
 
 
 def write_manifest(samples: list[ShiftSample], manifest_path, samples_path) -> None:

@@ -1,16 +1,67 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphquant import harness
-from graphquant.cli import load_split, main
+from graphquant.cli import SPLIT_ROLES, build_parser, load_split, main
 from graphquant.errors import DataError
-from graphquant.graph import load_graph
+from graphquant.graph import check_vertex_ids, load_graph
+from graphquant.shift import SplitSpec
+
+from test_graph import NEWLINES, outcome
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def load_split_by_row(path, n):
+    """Row-by-row split parser, rows of other than two fields rejected: the
+    oracle for load_split."""
+    parts = {role: [] for role in SPLIT_ROLES}
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != ["vertex", "role"]:
+            raise DataError(f"{path}: expected header 'vertex,role'")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataError(f"{path}:{reader.line_num}: expected 'vertex,role', "
+                                f"got {len(row)} fields")
+            vertex, role = row
+            if role not in parts:
+                raise DataError(f"{path}: unknown split role {role!r}")
+            parts[role].append(vertex)
+    roles = [np.sort(check_vertex_ids(parts[role], n, f"{path}: {role}")) for role in SPLIT_ROLES]
+    every = np.sort(np.concatenate(roles))
+    repeated = every[1:][every[1:] == every[:-1]]
+    if repeated.size:
+        raise DataError(f"{path}: vertex {repeated[0]} is listed more than once")
+    return SplitSpec(*roles)
+
+
+@st.composite
+def split_file_lines(draw):
+    """Split-file lines: a header that is sometimes missing, reordered or too
+    long, then rows with in-range, out-of-range, negative, non-integer and
+    repeated ids, unknown roles, quoted fields, blank lines and rows of one or
+    three fields."""
+    header = draw(st.sampled_from(["vertex,role"] * 4 + ["role,vertex", "vertex", "",
+                                                         "vertex,role,x", '"vertex","role"']))
+    vertex = st.sampled_from(["0", "1", "3", "7", "9", "10", "-1", "x", "1.5", " 2", "07", ""])
+    role = st.sampled_from(list(SPLIT_ROLES) * 2 + ["train", "Test", "", "test "])
+    pair = st.tuples(vertex, role).map(",".join)
+    quoted = st.tuples(vertex, role).map(lambda vr: f'"{vr[0]}","{vr[1]}"')
+    odd = st.one_of(vertex, st.tuples(vertex, role, vertex).map(",".join))
+    rows = st.lists(st.one_of(pair, pair, pair, pair, quoted, odd, st.sampled_from(["", " "])),
+                    max_size=8)
+    return [header] + draw(rows)
 
 
 def make_graph_files(tmp_path, seed=0):
@@ -183,6 +234,31 @@ class TestVertexIdFiles:
         with pytest.raises(DataError):
             load_split(path, n=60)
 
+    @pytest.mark.parametrize("row,fields", [("5,test,junk", 3), ("5", 1)])
+    def test_split_row_of_other_than_two_fields_rejected(self, tmp_path, row, fields):
+        # the first was accepted, the extra field dropped; the second was reported
+        # only as "unknown split role None"
+        path = tmp_path / "split.csv"
+        path.write_text(f"vertex,role\n3,test\n{row}\n")
+        with pytest.raises(DataError, match=rf"split.csv:3: expected 'vertex,role', "
+                                            rf"got {fields} fields"):
+            load_split(path, n=60)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=split_file_lines(), newline=NEWLINES)
+    def test_load_split_accepts_and_rejects_like_row_oracle(self, tmp_path_factory, lines,
+                                                            newline):
+        path = tmp_path_factory.mktemp("split") / "split.csv"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        got, want = outcome(load_split, path, 10), outcome(load_split_by_row, path, 10)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, SplitSpec), got
+            for a, b in zip((got.classifier_train, got.quantifier_train, got.test),
+                            (want.classifier_train, want.quantifier_train, want.test)):
+                assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
     def test_split_file_out_of_range_exits_2(self, tmp_path):
         args = self.quantify_files(tmp_path)
         split = args[args.index("--split") + 1]
@@ -232,6 +308,19 @@ class TestExperimentAndAggregate:
             raise RuntimeError("bug")
         monkeypatch.setattr(harness, "quantify_batch", buggy)
         assert run("experiment", "--config", self.write_config(tmp_path)) == 3
+
+
+class TestParser:
+    def test_built_once_and_unchanged_by_parsing(self, tmp_path, capsys):
+        parser = build_parser()
+        assert build_parser() is parser
+        out = tmp_path / "split.csv"
+        edges, labels = make_graph_files(tmp_path)
+        first = parser.parse_args(["split", "--edges", str(edges), "--out", str(out),
+                                   "--seed", "3"])
+        second = parser.parse_args(["split", "--edges", str(edges), "--out", str(out)])
+        assert first.seed == 3 and second.seed == 0 and second.labels is None
+        assert run("split", "--edges", edges, "--labels", labels, "--out", out) == 0
 
 
 class TestExitCodes:

@@ -57,3 +57,57 @@ class TestQuantifierSpecParsing:
                "shifts": [{"kind": "pps"}]}
         with pytest.raises(ConfigError, match="unknown key 'gama'"):
             parse_config(raw)
+
+
+def minimal_config(**overrides):
+    raw = {"dataset": {"sbm": {"blocks": [10, 10], "p_in": 0.3, "p_out": 0.05}},
+           "classifiers": [{"kind": "enq"}],
+           "quantifiers": [{"base": "acc"}],
+           "shifts": [{"kind": "pps"}]}
+    raw.update(overrides)
+    return raw
+
+
+class TestExperimentConfigKeys:
+    def test_misspelt_shift_key_rejected(self):
+        # ran with seeds_per_label 10
+        raw = minimal_config(shifts=[{"kind": "bfs", "seed_per_label": 3}])
+        with pytest.raises(ConfigError, match="unknown key 'seed_per_label' in shift #0"):
+            parse_config(raw)
+
+    def test_misspelt_top_level_key_rejected(self):
+        # ran 1 repetition
+        with pytest.raises(ConfigError, match="unknown key 'repetitons' in config"):
+            parse_config(minimal_config(repetitons=5))
+
+    @pytest.mark.parametrize("section,raw,key", [
+        ("dataset", {"dataset": {"sbm": {"blocks": [10, 10], "p_in": 0.3, "p_out": 0.05},
+                                 "label": "y.txt"}}, "label"),
+        ("sbm", {"dataset": {"sbm": {"blocks": [10, 10], "p_in": 0.3, "p_out": 0.05,
+                                     "sed": 1}}}, "sed"),
+        ("split", {"split": {"fraction": [0.1, 0.2, 0.7]}}, "fraction"),
+        ("classifier #0", {"classifiers": [{"kind": "label_prop", "iteration": 5}]},
+         "iteration"),
+    ])
+    def test_unknown_key_rejected_in_section(self, section, raw, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in {section}"):
+            parse_config(minimal_config(**raw))
+
+    @pytest.mark.parametrize("raw", [{"split": [0.1, 0.2, 0.7]}, {"shifts": ["pps"]},
+                                     {"classifiers": ["enq"]}])
+    def test_non_mapping_section_rejected(self, raw):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            parse_config(minimal_config(**raw))
+
+    def test_every_documented_key_accepted(self):
+        raw = minimal_config(
+            dataset={"name": "d", "sbm": {"blocks": [10, 10], "p_in": 0.3, "p_out": 0.05,
+                                           "block_labels": [0, 1], "seed": 2}},
+            split={"fractions": [0.1, 0.2, 0.7]},
+            classifiers=[{"name": "lp", "kind": "label_prop", "iterations": 5,
+                          "damping": 0.5}],
+            shifts=[{"name": "s", "kind": "rw", "n": 5, "num_dists": 2, "zipf_exponent": 1.5,
+                     "seeds_per_label": 2, "walk_len": 3, "alpha": 0.2}],
+            repetitions=2, seed=3, output="out.csv")
+        cfg = parse_config(raw)
+        assert cfg.repetitions == 2 and cfg.shifts[0].seeds_per_label == 2

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphquant.errors import DataError
-from graphquant.graph import (Graph, UNREACHABLE, _parse_edge_file, bfs_distances,
-                              check_vertex_ids, connected_components, load_graph, save_graph)
+from graphquant.graph import (Graph, UNREACHABLE, _parse_edge_file, _parse_features_file,
+                              _parse_labels_file, bfs_distances, check_vertex_ids,
+                              connected_components, load_graph, save_graph)
 
 
 def random_graph(n, p, seed, labels=False):
@@ -68,6 +69,44 @@ def parse_edges_by_line(path):
     return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
 
 
+def parse_labels_by_line(path):
+    """Line-by-line labels parser: the oracle for _parse_labels_file."""
+    labels = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                labels.append(int(line))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: expected an integer label, got {line!r}")
+    return np.asarray(labels, dtype=np.int64)
+
+
+def parse_features_by_line(path, n):
+    """Line-by-line features parser: the oracle for _parse_features_file."""
+    rows = []
+    arity = None
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric feature value")
+            if arity is None:
+                arity = len(row)
+            elif len(row) != arity:
+                raise DataError(f"{path}:{lineno}: expected {arity} columns, got {len(row)}")
+            rows.append(row)
+    if len(rows) != n:
+        raise DataError(f"features file has {len(rows)} rows, expected {n}")
+    return np.asarray(rows, dtype=np.float64)
+
+
 def outcome(parse, *args):
     """The parsed value, or the message of the DataError the parser raised."""
     try:
@@ -104,6 +143,42 @@ def edge_file_lines(draw):
         st.sampled_from(["", "   ", "\t", "# header", "#"]),
         st.tuples(pair, st.sampled_from([" # note", "#x", "\t# 1 2 3"])).map("".join))
     return draw(st.lists(line, max_size=8))
+
+
+BLANK_LINES = st.sampled_from(["", "   ", "\t", " \t "])
+NEWLINES = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def labels_file_lines(draw):
+    """Labels-file lines mixing integers (signed, zero-padded, padded with blanks)
+    with blank lines, comments, two labels on a line and non-integer tokens."""
+    label = st.sampled_from(["0", "1", "2", "17", "+2", "-1", "07", " 3 ", "\t1", "1\t"])
+    bad = st.sampled_from(["x", "1.5", "1e3", "# c", "1 2", "0x1", "2,1"])
+    return draw(st.lists(st.one_of(label, label, label, BLANK_LINES, bad), max_size=8))
+
+
+@st.composite
+def features_file_lines(draw):
+    """(lines, n) for a features file: rows of reals mixed with blank lines, a
+    column too many or too few, non-numeric, empty and commented tokens; n is
+    sometimes off by one."""
+    width = draw(st.integers(1, 3))
+    value = st.sampled_from(["0.5", "1", "-2.25", "1e-3", " 3.5 ", "\t7", "+4", ".5", "nan",
+                             "inf", "-inf"])
+    bad = st.sampled_from(["x", "", "1.5.2", "# c", "1 2"])
+    token = st.one_of(value, value, value, value, bad)
+    row = st.integers(width - 1, width + 1).flatmap(
+        lambda k: st.lists(token, min_size=max(k, 1), max_size=max(k, 1)).map(",".join))
+    lines = draw(st.lists(st.one_of(row, row, row, BLANK_LINES), max_size=8))
+    n = sum(bool(line.strip()) for line in lines) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return lines, max(n, 0)
+
+
+def write_lines(tmp_path_factory, name, lines, newline):
+    path = tmp_path_factory.mktemp("files") / name
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    return path
 
 
 def frontier_bfs(g, s):
@@ -213,6 +288,34 @@ class TestConstruction:
         else:
             assert isinstance(got, np.ndarray) and got.dtype == np.int64
             assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=labels_file_lines(), newline=NEWLINES)
+    def test_labels_parser_accepts_and_rejects_like_line_oracle(self, tmp_path_factory, lines,
+                                                                 newline):
+        path = write_lines(tmp_path_factory, "y.txt", lines, newline)
+        got, want = outcome(_parse_labels_file, path), outcome(parse_labels_by_line, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=features_file_lines(), newline=NEWLINES)
+    def test_features_parser_accepts_and_rejects_like_line_oracle(self, tmp_path_factory, case,
+                                                                   newline):
+        lines, n = case
+        path = write_lines(tmp_path_factory, "x.txt", lines, newline)
+        got, want = outcome(_parse_features_file, path, n), outcome(parse_features_by_line, path, n)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            if want.size == 0:  # a file without rows: shape (0, 1) here, (0,) from the oracle
+                assert got.shape == (0, 1)
+            else:
+                assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "e.txt"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +52,20 @@ def dense_normalized_adjacency(g):
     iso = np.where(~nz)[0]
     abar[iso, iso] = 1.0
     return abar
+
+
+def matmul_normalized_adjacency(g):
+    """A @ diags(1/deg) plus a self-loop per isolated vertex, by sparse products:
+    the construction normalized_adjacency_sparse replaced."""
+    deg = g.degrees.astype(np.float64)
+    inv = np.zeros(g.n)
+    nz = deg > 0
+    inv[nz] = 1.0 / deg[nz]
+    abar = g.adjacency_csr() @ sp.diags(inv)
+    iso = np.where(~nz)[0]
+    if len(iso):
+        abar = abar + sp.csr_matrix((np.ones(len(iso)), (iso, iso)), shape=(g.n, g.n))
+    return abar.tocsr()
 
 
 kernel_specs = st.one_of(
@@ -119,6 +134,15 @@ class TestPprDense:
     def test_normalized_adjacency_bit_identical_to_dense_oracle(self, g):
         assert np.array_equal(normalized_adjacency_sparse(g).toarray(),
                               dense_normalized_adjacency(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs())
+    def test_normalized_adjacency_bit_identical_to_matmul_and_sorted(self, g):
+        abar = normalized_adjacency_sparse(g)
+        assert np.array_equal(abar.toarray(), matmul_normalized_adjacency(g).toarray())
+        assert abar.nnz == len(g.indices) + int((g.degrees == 0).sum())
+        for v in range(g.n):
+            assert np.all(np.diff(abar.indices[abar.indptr[v]:abar.indptr[v + 1]]) > 0)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphquant import estimation
 from graphquant.errors import ConfigError, DataError
 from graphquant.estimation import PredictionSet, nacc_confusion_estimate, nacc_prevalence
 from graphquant.graph import Graph
 from graphquant.kernels import KernelSpec
-from graphquant.quantifiers import QuantifierSpec, quantify, quantify_batch
+from graphquant.quantifiers import QuantifierSpec, _WeightContext, quantify, quantify_batch
 from graphquant.shift import generate_sbm, sample_rw
 from graphquant.solver import solve_simplex_lsq
+
+from test_graph import small_graphs
 
 
 def synthetic_channel_setup():
@@ -236,6 +240,57 @@ class TestNaccFeaturesOncePerBatch:
                 alone = alone.with_prevalences(nacc_prevalence(original(g, preds), preds,
                                                                s, mode))
                 assert np.array_equal(solve_simplex_lsq(alone.C, alone.p_hat).q, est.q)
+
+
+@st.composite
+def relabelled_problems(draw):
+    """A labelled small graph (isolated vertices, several components) with soft
+    predictions, a training list and a test sample, plus the same problem with
+    every vertex id v renamed perm[v]; list order is kept."""
+    g = draw(small_graphs().filter(lambda g: g.n >= 4))
+    K = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, K, size=g.n)
+    labels[:2] = [0, 1]  # at least two classes
+    soft = rng.dirichlet(np.ones(K), size=g.n)
+    order = rng.permutation(g.n)
+    train = order[:draw(st.integers(1, g.n - 1))]
+    sample = rng.choice(order, size=draw(st.integers(1, 2 * g.n)))
+    perm = rng.permutation(g.n)
+    src, dst = g.edge_arrays()
+    renamed_labels, renamed_soft = np.empty_like(labels), np.empty_like(soft)
+    renamed_labels[perm], renamed_soft[perm] = labels, soft
+    original = (Graph.from_edges(g.n, np.column_stack([src, dst]), labels=labels),
+                PredictionSet.from_soft(soft), train, sample)
+    renamed = (Graph.from_edges(g.n, np.column_stack([perm[src], perm[dst]]),
+                                labels=renamed_labels),
+               PredictionSet.from_soft(renamed_soft), perm[train], perm[sample])
+    return original, renamed
+
+
+class TestRelabelling:
+    @settings(max_examples=80, deadline=None)
+    @given(problems=relabelled_problems())
+    def test_counting_estimates_bit_identical(self, problems):
+        specs = (QuantifierSpec(base="cc"), QuantifierSpec(base="acc"),
+                 QuantifierSpec(base="cc", probabilistic=True),
+                 QuantifierSpec(base="acc", probabilistic=True, nacc=True))
+        for spec in specs:
+            (g, preds, train, sample), (g2, preds2, train2, sample2) = problems
+            a = quantify(spec, g, train, g.labels[train], sample, preds)
+            b = quantify(spec, g2, train2, g2.labels[train2], sample2, preds2)
+            assert np.array_equal(a.q, b.q) and a.flags == b.flags, spec.name
+
+    @settings(max_examples=80, deadline=None)
+    @given(problems=relabelled_problems())
+    def test_importance_weights_agree(self, problems):
+        ppr, sp = KernelSpec.ppr(), KernelSpec.shortest_path()
+        for spec in (QuantifierSpec(kernel_q=ppr), QuantifierSpec(kernel_q=sp),
+                     QuantifierSpec(kernel_q=ppr, kernel_p=sp)):
+            (g, _, train, sample), (g2, _, train2, sample2) = problems
+            a = _WeightContext(spec, g, train).weights_for([sample])[0]
+            b = _WeightContext(spec, g2, train2).weights_for([sample2])[0]
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12), spec
 
 
 class TestStatisticalRecovery:

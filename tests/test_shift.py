@@ -3,11 +3,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphquant.config import ShiftConfig
 from graphquant.errors import ConfigError, DataError
-from graphquant.graph import Graph, connected_components
+from graphquant.graph import Graph, check_vertex_ids, connected_components
+from graphquant.harness import draw_samples
 from graphquant.shift import (generate_sbm, largest_remainder_counts, load_sample_sections,
                               sample_bfs, sample_pps, sample_rw, save_samples,
                               uniform_split, write_manifest, zipf_distribution)
+
+from test_graph import BLANK_LINES, NEWLINES, outcome
+
+
+def load_sample_sections_by_line(path, n):
+    """Line-by-line samples parser, header tokens without '=' rejected: the
+    oracle for load_sample_sections."""
+    sections = []
+    header = None
+    vertices = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if "=" in line:
+                if header is not None:
+                    sections.append((header, np.asarray(vertices, dtype=np.int64)))
+                if not all("=" in tok for tok in line.split(",")):
+                    raise DataError(f"{path}:{lineno}: expected 'key=value,...', got {line!r}")
+                header = dict(tok.split("=", 1) for tok in line.split(","))
+                vertices = []
+            else:
+                if header is None:
+                    raise DataError(f"{path}:{lineno}: vertex id before any sample header")
+                try:
+                    vertices.append(int(line))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: expected a vertex id, got {line!r}")
+    if header is not None:
+        sections.append((header, np.asarray(vertices, dtype=np.int64)))
+    return [(fields, check_vertex_ids(ids, n, f"{path}: sample {i}"))
+            for i, (fields, ids) in enumerate(sections)]
+
+
+@st.composite
+def samples_file_lines(draw):
+    """Samples-file lines: headers (padded, with a token lacking '=', with '='
+    inside a value) mixed with in-range, out-of-range, negative, repeated,
+    padded and non-integer ids, two ids on a line, and blank lines; the first
+    line is sometimes an id."""
+    header = st.sampled_from(["sampler=rw,seed=1,n=2", " sampler=pps,target=0.5|0.5 ", "a=b=c",
+                              "k=v,bad", "=", "n=0,flagged=1"])
+    vertex = st.sampled_from(["0", "3", "9", "10", "-1", "+4", "07", " 5\t", "x", "1.5",
+                              "1 2", "#1"])
+    body = st.lists(st.one_of(vertex, vertex, vertex, BLANK_LINES), max_size=5)
+    sections = draw(st.lists(st.tuples(header, body), max_size=4))
+    lines = draw(st.lists(st.one_of(vertex, BLANK_LINES), max_size=1))
+    for head, ids in sections:
+        lines += [head] + ids
+    return lines
 
 
 class TestLargestRemainder:
@@ -227,6 +280,28 @@ class TestRw:
             assert np.array_equal(s1.vertices, s2.vertices)
 
 
+class TestPoolIds:
+    """Every sampler's pool goes through check_vertex_ids; a bad id used to be
+    sampled (BFS/RW: -2 came back in a sample) or silently kept (PPS: id 99
+    on a 40-vertex graph)."""
+
+    @pytest.mark.parametrize("sampler", [sample_bfs, sample_rw])
+    @pytest.mark.parametrize("pool", [[-1, -2, 3, 4], [3, 4, 40], [0.0, 1.0]])
+    def test_start_vertex_samplers_reject_bad_pool(self, sampler, pool):
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=1)
+        with pytest.raises(DataError, match="sampling pool"):
+            sampler(g, pool, np.zeros(len(pool), dtype=np.int64), seeds_per_label=1, n=3,
+                    num_classes=2)
+
+    @pytest.mark.parametrize("kind", ["pps", "bfs", "rw"])
+    def test_draw_samples_rejects_out_of_range_pool(self, kind):
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=1)
+        pool = np.array([0, 1, 25, 99])
+        with pytest.raises(DataError, match="vertex id 99 out of range for n=40"):
+            draw_samples(ShiftConfig(name=kind, kind=kind, n=3, num_dists=2, seeds_per_label=1),
+                         g, pool, np.array([0, 0, 1, 1]), seed=0, num_classes=2)
+
+
 class TestSbm:
     def test_disjoint_triangles(self):
         g = generate_sbm([3, 3], 1.0, 0.0, seed=0)
@@ -282,6 +357,28 @@ class TestSerialization:
             save_samples(samples, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=samples_file_lines(), newline=NEWLINES)
+    def test_load_accepts_and_rejects_like_line_oracle(self, tmp_path_factory, lines, newline):
+        path = tmp_path_factory.mktemp("samples") / "samples.txt"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        got = outcome(load_sample_sections, path, 10)
+        want = outcome(load_sample_sections_by_line, path, 10)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, list) and len(got) == len(want), got
+            for (got_fields, got_ids), (want_fields, want_ids) in zip(got, want):
+                assert got_fields == want_fields
+                assert got_ids.dtype == np.int64 and np.array_equal(got_ids, want_ids)
+
+    def test_header_token_without_value_is_data_error(self, tmp_path):
+        # raised a ValueError from dict(), exit code 3
+        path = tmp_path / "samples.txt"
+        path.write_text("sampler=rw,seed=1\n3\nsampler=rw,oops\n4\n")
+        with pytest.raises(DataError, match=r"samples.txt:3: expected 'key=value,...'"):
+            load_sample_sections(path, 10)
 
     def test_manifest(self, tmp_path):
         g = generate_sbm([20, 20], 0.2, 0.05, seed=9)
