@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimation import PredictionSet
-from .graph import Graph, parse_table
+from .graph import Graph, check_vertex_ids, parse_table
 
 DEFAULT_LP_ITERATIONS = 50
 DEFAULT_LP_DAMPING = 0.85
@@ -33,17 +33,19 @@ def enq_predict(g: Graph, train_vertices, train_labels, num_classes=None) -> Pre
     Vertices without any labeled neighbor fall back to the global training
     label histogram. Hard labels are the argmax (ties to the lowest index).
     """
-    train_vertices = np.asarray(train_vertices, dtype=np.int64)
+    train_vertices = check_vertex_ids(train_vertices, g.n, "ENQ training vertices")
     train_labels = np.asarray(train_labels, dtype=np.int64)
     if len(train_vertices) == 0:
         raise DataError("ENQ needs a non-empty training set")
     K = _infer_num_classes(g, train_labels, num_classes)
+    if train_labels.min() < 0 or train_labels.max() >= K:
+        raise DataError(f"train label out of range for K={K}")
     label_of = np.full(g.n, -1, dtype=np.int64)
     label_of[train_vertices] = train_labels
     src, dst = g.edge_arrays()
     labeled = label_of[dst] >= 0
-    counts = np.zeros((g.n, K))
-    np.add.at(counts, (src[labeled], label_of[dst[labeled]]), 1.0)
+    counts = np.bincount(src[labeled] * K + label_of[dst[labeled]],
+                         minlength=g.n * K).reshape(g.n, K).astype(np.float64)
     totals = counts.sum(axis=1)
     global_hist = np.bincount(train_labels, minlength=K) / len(train_labels)
     soft = np.where(totals[:, None] > 0, counts / np.maximum(totals, 1.0)[:, None],
@@ -61,7 +63,7 @@ def label_prop_predict(g: Graph, train_vertices, train_labels,
     neighbor average with the initial state and renormalizes rows. Zero
     iterations returns the initialization.
     """
-    train_vertices = np.asarray(train_vertices, dtype=np.int64)
+    train_vertices = check_vertex_ids(train_vertices, g.n, "label propagation training vertices")
     train_labels = np.asarray(train_labels, dtype=np.int64)
     if len(train_vertices) == 0:
         raise DataError("label propagation needs a non-empty training set")

@@ -167,8 +167,8 @@ def nacc_features(g: Graph, preds: PredictionSet) -> tuple[np.ndarray, np.ndarra
     """
     hard = preds.require(HARD)
     src, dst = g.edge_arrays()
-    counts = np.zeros((g.n, preds.K), dtype=np.int64)
-    np.add.at(counts, (src, hard[dst]), 1)
+    counts = np.bincount(src * preds.K + hard[dst], minlength=g.n * preds.K)
+    counts = counts.reshape(g.n, preds.K)
     majority = np.argmax(counts, axis=1)
     isolated = g.degrees == 0
     majority[isolated] = hard[isolated]

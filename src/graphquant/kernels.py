@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .graph import Graph, UNREACHABLE, bfs_distances
+from .graph import Graph, UNREACHABLE, bfs_distances, check_vertex_ids
 
 DEFAULT_ALPHA = 0.1       # teleport probability per walk step
 DEFAULT_WALK_LEN = 10     # number of walk steps (matrix power)
@@ -135,9 +135,9 @@ def make_evaluator(spec: KernelSpec, g: Graph, rows):
     entry (i, j) is the mean kernel value of rows[i] under distribution j.
     Applied to indicator columns it gives kernel values; applied to a sample's
     empirical distribution, the kernel density over that sample. The per-row
-    resources are built once, here.
+    resources are built once, here. `rows` must be vertex ids of `g`.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = check_vertex_ids(rows, g.n, "kernel rows")
     if spec.kind == CONSTANT:
         return lambda dists: np.ones((len(rows), dists.shape[1]))
     if spec.kind == PPR:

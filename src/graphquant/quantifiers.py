@@ -76,11 +76,14 @@ def _mode(spec: QuantifierSpec) -> str:
 
 class _WeightContext:
     """Per-(spec, graph, train) resources for importance weights, so batch
-    runs reuse the kernel maps and the training-density estimate."""
+    runs reuse the kernel maps and the training-density estimate. The weights
+    of the last batch are kept too: they do not depend on the predictions, so
+    a harness that quantifies one batch once per classifier builds them once."""
 
     def __init__(self, spec: QuantifierSpec, g: Graph, train_vertices: np.ndarray):
         self.train_vertices = train_vertices
         self.n = g.n
+        self._last: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
         if not spec.uses_sis:
             self.q_kernel = None
             return
@@ -94,8 +97,15 @@ class _WeightContext:
         """Importance weights of the training vertices, one array per sample."""
         if self.q_kernel is None or not samples:
             return [np.ones(len(self.train_vertices)) for _ in samples]
+        last_samples, last_weights = self._last
+        if len(samples) == len(last_samples) and all(
+                np.array_equal(a, b) for a, b in zip(samples, last_samples)):
+            return last_weights
         q = kde_density(self.q_kernel, samples, self.n)
-        return [density_ratio(q[:, j], self.p_density) for j in range(len(samples))]
+        weights = [density_ratio(q[:, j], self.p_density) for j in range(len(samples))]
+        # copies: a caller's array may be changed in place before the next batch
+        self._last = ([s.copy() for s in samples], weights)
+        return weights
 
 
 def quantify(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,

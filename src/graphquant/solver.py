@@ -74,8 +74,9 @@ def solve_simplex_lsq(C, p, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERAT
     obj = objective(q)
     lipschitz = 2.0 * float(np.linalg.eigvalsh(ctc)[-1]) if k > 1 else 2.0 * float(ctc[0, 0])
     trajectory = [obj] if debug else None
-    if lipschitz <= 0.0:
-        # C is the zero matrix: the objective is constant, uniform is optimal.
+    if lipschitz < np.finfo(np.float64).tiny:
+        # C is zero, or so small that the step 1/L would overflow: the objective is
+        # constant to machine precision, and uniform is optimal.
         return SimplexLsqResult(q=q, objective=obj, iterations=0, converged=True,
                                 trajectory=tuple(trajectory) if debug else None)
     step = 1.0 / lipschitz

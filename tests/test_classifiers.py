@@ -9,7 +9,7 @@ from graphquant.errors import DataError
 from graphquant.estimation import PredictionSet
 from graphquant.graph import Graph
 
-from test_graph import outcome, patch_int_parse_via_float
+from test_graph import outcome, patch_int_parse_via_float, small_graphs
 
 
 def load_predictions_by_line(path, n, K):
@@ -100,7 +100,48 @@ def prediction_files(draw):
     return rows, max(n, 0), K
 
 
+def add_at_enq_predict(g, train_vertices, train_labels, K):
+    """enq_predict with its counts summed by np.add.at: the body the bincount
+    version replaced, and its oracle."""
+    label_of = np.full(g.n, -1, dtype=np.int64)
+    label_of[train_vertices] = train_labels
+    src, dst = g.edge_arrays()
+    labeled = label_of[dst] >= 0
+    counts = np.zeros((g.n, K))
+    np.add.at(counts, (src[labeled], label_of[dst[labeled]]), 1.0)
+    totals = counts.sum(axis=1)
+    global_hist = np.bincount(train_labels, minlength=K) / len(train_labels)
+    soft = np.where(totals[:, None] > 0, counts / np.maximum(totals, 1.0)[:, None],
+                    global_hist[None, :])
+    return PredictionSet.from_soft(soft)
+
+
 class TestEnq:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), g=small_graphs(), K=st.integers(2, 4))
+    def test_bit_identical_to_add_at_oracle(self, data, g, K):
+        train = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
+        labels = data.draw(st.lists(st.integers(0, K - 1), min_size=len(train),
+                                    max_size=len(train)))
+        got = enq_predict(g, train, labels, num_classes=K)
+        expected = add_at_enq_predict(g, np.asarray(train), np.asarray(labels), K)
+        assert np.array_equal(got.soft, expected.soft)
+        assert np.array_equal(got.hard, expected.hard)
+
+    @pytest.mark.parametrize("fit", [enq_predict, label_prop_predict])
+    @pytest.mark.parametrize("train", [[-1], [4], [1.5]])
+    def test_bad_training_ids_rejected(self, fit, train):
+        # [-1] used to label vertex 3, [4] raised IndexError, [1.5] labelled vertex 1
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(DataError):
+            fit(g, train, [1], num_classes=2)
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
+    def test_train_label_out_of_range_rejected(self, labels):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(DataError):
+            enq_predict(g, [0, 1], labels, num_classes=2)
+
     def test_labeled_neighbor_histogram(self):
         # vertex 0 has labeled neighbors of classes {0, 0, 1}
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])

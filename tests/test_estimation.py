@@ -11,7 +11,7 @@ from graphquant.estimation import (HARD, SOFT, PredictionSet,
 from graphquant.graph import Graph
 from graphquant.kernels import KernelSpec, make_evaluator
 
-from test_graph import random_graph
+from test_graph import random_graph, small_graphs
 
 
 def block_kernel(values):
@@ -168,7 +168,30 @@ class TestConfusionEstimate:
             assert np.abs(est.C.sum(axis=0) - 1.0).max() < 1e-9
 
 
+def add_at_nacc_features(g, preds):
+    """nacc_features with its neighbour counts summed by np.add.at: the body
+    the bincount version replaced, and its oracle."""
+    hard = preds.require(HARD)
+    src, dst = g.edge_arrays()
+    counts = np.zeros((g.n, preds.K), dtype=np.int64)
+    np.add.at(counts, (src, hard[dst]), 1)
+    majority = np.argmax(counts, axis=1)
+    isolated = g.degrees == 0
+    majority[isolated] = hard[isolated]
+    return hard.copy(), majority
+
+
 class TestNaccFeatures:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), g=small_graphs(), K=st.integers(1, 4))
+    def test_bit_identical_to_add_at_oracle(self, data, g, K):
+        hard = data.draw(st.lists(st.integers(0, K - 1), min_size=g.n, max_size=g.n))
+        preds = PredictionSet.from_hard(hard, K=K)
+        own, nbr = nacc_features(g, preds)
+        expected_own, expected_nbr = add_at_nacc_features(g, preds)
+        assert own.dtype == expected_own.dtype and nbr.dtype == expected_nbr.dtype
+        assert np.array_equal(own, expected_own) and np.array_equal(nbr, expected_nbr)
+
     def test_triangle_uniform_prediction(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         p = PredictionSet.from_hard([1, 1, 1], K=2)

@@ -397,8 +397,35 @@ class TestBfs:
             got = np.where(row.dist == UNREACHABLE, np.inf, row.dist.astype(float))
             assert np.array_equal(got, oracle[row.source])
 
+    @pytest.mark.parametrize("sources", [[-1], [1.7, 2.2], [0.0], ["x"], [[0, 1]]])
+    def test_bad_sources_rejected(self, sources):
+        # fractional ids used to be truncated to vertex ids
+        with pytest.raises(DataError):
+            bfs_distances(random_graph(20, 0.2, seed=3), sources)
+
     def test_no_sources(self):
         assert bfs_distances(random_graph(5, 0.5, seed=1), []) == []
+
+    def test_rows_are_int32_and_contiguous(self):
+        rows = bfs_distances(random_graph(12, 0.3, seed=2), np.array([5, 0, 5]))
+        assert [r.source for r in rows] == [5, 0, 5]
+        for row in rows:
+            assert row.dist.dtype == np.int32 and row.dist.flags.c_contiguous
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), g=small_graphs())
+    def test_any_source_list_matches_frontier_oracle(self, data, g):
+        vertex = st.integers(0, g.n - 1)
+        # subsets in any order, lists with repeats, and no sources at all
+        sources = data.draw(st.one_of(st.lists(vertex, unique=True),
+                                      st.lists(vertex, max_size=2 * g.n),
+                                      st.just([])))
+        rows = bfs_distances(g, sources)
+        assert [r.source for r in rows] == sources
+        for row in rows:
+            expected = frontier_bfs(g, row.source)
+            assert row.dist.dtype == expected.dtype
+            assert np.array_equal(row.dist, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(g=small_graphs())

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +11,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphquant
 from graphquant import kernels
-from graphquant.errors import ConfigError
+from graphquant.errors import ConfigError, DataError
 from graphquant.estimation import kde_density
 from graphquant.graph import UNREACHABLE, Graph
-from graphquant.kernels import (KernelSpec, make_evaluator, normalized_adjacency_sparse,
-                                ppr_matrix_dense, ppr_matrix_sparse_pruned)
+from graphquant.kernels import (KernelSpec, _shortest_path_block, make_evaluator,
+                                normalized_adjacency_sparse, ppr_matrix_dense,
+                                ppr_matrix_sparse_pruned)
+from graphquant.shift import generate_sbm
 
 from test_graph import frontier_bfs, random_graph, small_graphs
 
@@ -39,6 +46,23 @@ def oracle_kernel_matrix(spec, g):
         values[hops == UNREACHABLE] = 0.0
         return values
     return np.maximum(g.features @ g.features.T, 0.0)
+
+
+def csgraph_shortest_path_block(g, rows, gamma):
+    """exp(-gamma * hops) with the hops from scipy's csgraph BFS, one search per
+    row: the construction _shortest_path_block replaced, and its oracle."""
+    from scipy.sparse.csgraph import shortest_path
+
+    if len(rows) == 0:
+        return np.empty((0, g.n))
+    hops_f = shortest_path(g.adjacency_csr(), unweighted=True, indices=rows)
+    hops = np.full(hops_f.shape, UNREACHABLE, dtype=np.int32)
+    finite = np.isfinite(hops_f)
+    hops[finite] = hops_f[finite]
+    block = -gamma * hops
+    np.exp(block, out=block)
+    block[hops == UNREACHABLE] = 0.0
+    return block
 
 
 def dense_normalized_adjacency(g):
@@ -100,6 +124,58 @@ class TestMakeEvaluator:
         assert density.shape == (len(rows), len(samples))
         for j, cols in enumerate(samples):
             assert np.allclose(density[:, j], oracle[:, cols].mean(axis=1), rtol=0.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("spec", [KernelSpec.constant(), KernelSpec.ppr(),
+                                      KernelSpec.shortest_path()])
+    @pytest.mark.parametrize("rows", [[-1, 3], [25], [1.5], [[0, 1]]])
+    def test_bad_rows_rejected(self, spec, rows):
+        # [-1, 3] used to evaluate vertex 19, [25] raised IndexError, [1.5] read vertex 1
+        g = random_graph(20, 0.2, seed=2)
+        with pytest.raises(DataError):
+            make_evaluator(spec, g, rows)
+
+
+class TestShortestPathBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), g=small_graphs(),
+           gamma=st.sampled_from([0.1, 1.0, 3.0, 50.0]))
+    def test_bit_identical_to_csgraph_oracle(self, data, g, gamma):
+        rows = np.asarray(data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)),
+                          dtype=np.int64)
+        block = _shortest_path_block(g, rows, gamma)
+        expected = csgraph_shortest_path_block(g, rows, gamma)
+        assert block.dtype == expected.dtype and block.shape == expected.shape
+        assert np.array_equal(block, expected)
+
+    def test_bit_identical_on_block_graph(self):
+        g = generate_sbm([100] * 4, 0.05, 0.005, seed=7)
+        rows = np.random.default_rng(1).choice(g.n, size=60, replace=False)
+        assert np.array_equal(_shortest_path_block(g, rows, 3.0),
+                              csgraph_shortest_path_block(g, rows, 3.0))
+
+    def test_sp_quantify_does_not_load_csgraph(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from graphquant import KernelSpec, PredictionSet, QuantifierSpec, quantify\n"
+            "from graphquant.graph import connected_components\n"
+            "from graphquant.shift import generate_sbm\n"
+            "g = generate_sbm([30, 30], 0.2, 0.02, seed=1)\n"
+            "preds = PredictionSet.from_hard(g.labels, K=2)\n"
+            "train, test = np.arange(0, 60, 2), np.arange(1, 60, 2)\n"
+            "spec = QuantifierSpec(base='acc', kernel_q=KernelSpec.shortest_path())\n"
+            "quantify(spec, g, train, g.labels[train], test, preds)\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n"
+            "connected_components(g)\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n")
+        src = str(Path(graphquant.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        # loaded only by connected_components, which shows the check can see it
+        assert out == ["False", "True"]
 
 
 class TestPprDense:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphquant import estimation
+from graphquant import estimation, quantifiers
 from graphquant.errors import ConfigError, DataError
 from graphquant.estimation import PredictionSet, nacc_confusion_estimate, nacc_prevalence
 from graphquant.graph import Graph
@@ -240,6 +240,63 @@ class TestNaccFeaturesOncePerBatch:
                 alone = alone.with_prevalences(nacc_prevalence(original(g, preds), preds,
                                                                s, mode))
                 assert np.array_equal(solve_simplex_lsq(alone.C, alone.p_hat).q, est.q)
+
+
+class TestWeightsOncePerShift:
+    def test_two_classifiers_build_q_densities_once(self, monkeypatch):
+        g = generate_sbm([30, 30, 30], 0.2, 0.02, seed=3)
+        rng = np.random.default_rng(5)
+        train, pool = np.arange(0, 90, 2), np.arange(1, 90, 2)
+        samples = [rng.choice(pool, size=20) for _ in range(3)]
+        preds_per_clf = [PredictionSet.from_soft(rng.dirichlet(np.ones(3), size=90))
+                         for _ in range(2)]
+        spec = QuantifierSpec(base="acc", kernel_q=KernelSpec.shortest_path())
+        calls = []
+        original = quantifiers.kde_density
+
+        def counting(kernel, batch, n):
+            calls.append(len(batch))
+            return original(kernel, batch, n)
+        monkeypatch.setattr(quantifiers, "kde_density", counting)
+        cache: dict = {}
+        for preds in preds_per_clf:
+            # a fresh list of equal arrays: matched on contents, not identity
+            batch = [s.copy() for s in samples]
+            shared = quantify_batch(spec, g, train, g.labels[train], batch, preds,
+                                    weight_cache=cache)
+            alone = quantify_batch(spec, g, train, g.labels[train], batch, preds)
+            assert all(np.array_equal(a.q, b.q) for a, b in zip(shared, alone))
+        # one p density and one q batch for the shared cache, two per fresh one
+        assert calls == [1, 3, 1, 3, 1, 3]
+
+        calls.clear()
+        changed = [s.copy() for s in samples]
+        changed[1][0] = pool[pool != changed[1][0]][0]
+        quantify_batch(spec, g, train, g.labels[train], changed, preds_per_clf[0],
+                       weight_cache=cache)
+        assert calls == [3]
+        calls.clear()
+        quantify_batch(spec, g, train, g.labels[train], samples[:2], preds_per_clf[0],
+                       weight_cache=cache)
+        assert calls == [2]
+
+    def test_recomputed_batch_gives_fresh_weights(self):
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=8)
+        train = np.arange(0, 40, 2)
+        context = _WeightContext(QuantifierSpec(base="acc", kernel_q=KernelSpec.ppr()),
+                                 g, train)
+        first = context.weights_for([np.array([1, 3, 5])])
+        second = context.weights_for([np.array([1, 3, 7])])
+        fresh = _WeightContext(QuantifierSpec(base="acc", kernel_q=KernelSpec.ppr()),
+                               g, train).weights_for([np.array([1, 3, 7])])
+        assert not np.array_equal(first[0], second[0])
+        assert np.array_equal(second[0], fresh[0])
+
+        # the same array changed in place is a new batch
+        sample = np.array([1, 3, 5])
+        context.weights_for([sample])
+        sample[2] = 7
+        assert np.array_equal(context.weights_for([sample])[0], fresh[0])
 
 
 @st.composite

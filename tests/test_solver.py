@@ -108,6 +108,13 @@ class TestContract:
         assert np.allclose(r.q, [0.5, 0.5])
         assert r.converged
 
+    def test_matrix_whose_step_overflows(self):
+        # L = 2 * (2.5e-156)**2 is subnormal: the step 1/L was inf, and inf * 0 made
+        # the projection's input NaN (IndexError)
+        r = solve_simplex_lsq(np.array([[0.0, 0.0], [0.0, 2.49754754e-156]]), np.zeros(2))
+        assert np.array_equal(r.q, [0.5, 0.5])
+        assert r.converged
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             solve_simplex_lsq(np.empty((2, 0)), np.zeros(2))
