@@ -7,7 +7,7 @@ harness to evaluate them.
 """
 
 from .errors import ConfigError, DataError, GraphQuantError
-from .estimation import ConfusionEstimate, PredictionSet
+from .estimation import PredictionSet
 from .graph import DistanceRow, Graph, UNREACHABLE, bfs_distances, connected_components, \
     load_graph, save_graph
 from .kernels import KernelSpec, make_evaluator, ppr_matrix_dense, ppr_matrix_sparse_pruned
@@ -25,7 +25,7 @@ __all__ = [
     "load_graph", "save_graph", "bfs_distances", "connected_components",
     "KernelSpec", "make_evaluator",
     "ppr_matrix_dense", "ppr_matrix_sparse_pruned",
-    "PredictionSet", "ConfusionEstimate",
+    "PredictionSet",
     "SimplexLsqResult", "solve_simplex_lsq",
     "QuantifierSpec", "PrevalenceVector", "quantify", "quantify_batch",
     "ShiftSample", "SplitSpec", "uniform_split",

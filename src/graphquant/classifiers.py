@@ -23,7 +23,27 @@ def _infer_num_classes(g: Graph, train_labels, num_classes):
         return int(num_classes)
     if g.labels is not None:
         return g.num_classes
-    return int(np.max(train_labels)) + 1
+    return int(np.max(train_labels, initial=-1)) + 1
+
+
+def check_train_labels(g: Graph, train_vertices: np.ndarray, train_labels,
+                       num_classes=None) -> tuple[np.ndarray, int]:
+    """The training labels as an int64 array and the number of classes K,
+    checked at the boundary: one integer label per training vertex, each in
+    0..K-1. K is `num_classes`, else the graph's class count, else the largest
+    label + 1. Raises DataError otherwise, so no label broadcasts, truncates
+    or wraps around."""
+    labels = np.asarray(train_labels)
+    if labels.shape != (len(train_vertices),):
+        raise DataError(f"expected one train label per train vertex ({len(train_vertices)}), "
+                        f"got shape {labels.shape}")
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DataError(f"train labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
+    K = _infer_num_classes(g, labels, num_classes)
+    if labels.size and (labels.min() < 0 or labels.max() >= K):
+        raise DataError(f"train label out of range for K={K}")
+    return labels, K
 
 
 def enq_predict(g: Graph, train_vertices, train_labels, num_classes=None) -> PredictionSet:
@@ -34,12 +54,9 @@ def enq_predict(g: Graph, train_vertices, train_labels, num_classes=None) -> Pre
     label histogram. Hard labels are the argmax (ties to the lowest index).
     """
     train_vertices = check_vertex_ids(train_vertices, g.n, "ENQ training vertices")
-    train_labels = np.asarray(train_labels, dtype=np.int64)
     if len(train_vertices) == 0:
         raise DataError("ENQ needs a non-empty training set")
-    K = _infer_num_classes(g, train_labels, num_classes)
-    if train_labels.min() < 0 or train_labels.max() >= K:
-        raise DataError(f"train label out of range for K={K}")
+    train_labels, K = check_train_labels(g, train_vertices, train_labels, num_classes)
     label_of = np.full(g.n, -1, dtype=np.int64)
     label_of[train_vertices] = train_labels
     src, dst = g.edge_arrays()
@@ -64,14 +81,13 @@ def label_prop_predict(g: Graph, train_vertices, train_labels,
     iterations returns the initialization.
     """
     train_vertices = check_vertex_ids(train_vertices, g.n, "label propagation training vertices")
-    train_labels = np.asarray(train_labels, dtype=np.int64)
     if len(train_vertices) == 0:
         raise DataError("label propagation needs a non-empty training set")
     if not 0.0 < damping < 1.0:
         raise DataError(f"damping must be in (0,1), got {damping}")
     if iterations < 0:
         raise DataError("iterations must be >= 0")
-    K = _infer_num_classes(g, train_labels, num_classes)
+    train_labels, K = check_train_labels(g, train_vertices, train_labels, num_classes)
 
     init = np.full((g.n, K), 1.0 / K)
     init[train_vertices] = 0.0

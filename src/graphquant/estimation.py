@@ -2,14 +2,15 @@
 
 Training vertices can be reweighted by a kernel-density ratio between the
 test and training vertex distributions; with all-ones weights the estimators
-reduce to the plain unweighted counts. Neighborhood-aware estimation enriches
-the outcome space from predicted labels to (own prediction, neighbor-majority
+reduce to the plain unweighted counts. Every estimate works on one outcome
+matrix: each vertex's distribution over predicted labels, or, for
+neighborhood-aware estimation, over (own prediction, neighbor-majority
 prediction) pairs, flattened as own * K + neighbor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,20 +67,6 @@ class PredictionSet:
         return channel
 
 
-@dataclass(frozen=True)
-class ConfusionEstimate:
-    """Column-stochastic (M, K) conditional prediction distribution plus the
-    observed M-vector of prediction prevalences on the test side."""
-    C: np.ndarray
-    p_hat: np.ndarray | None
-    mode: str
-    nacc: bool
-    zero_support: tuple[int, ...] = ()
-
-    def with_prevalences(self, p_hat: np.ndarray) -> "ConfusionEstimate":
-        return replace(self, p_hat=p_hat)
-
-
 def kde_density(kernel, samples, n: int) -> np.ndarray:
     """Kernel density of each row vertex over each sample, shape (rows, S).
 
@@ -106,61 +93,56 @@ def density_ratio(q_hat, p_hat, floor: float = DENSITY_FLOOR) -> np.ndarray:
     return q_hat / np.maximum(p_hat, floor)
 
 
-def prevalence_vector(preds: PredictionSet, vertices, mode: str = HARD) -> np.ndarray:
-    """Observed prediction prevalence over the given vertices (duplicates count)."""
+def outcome_matrix(preds: PredictionSet, mode: str, nbr=None) -> np.ndarray:
+    """The n x M outcome matrix: row v is vertex v's distribution over outcomes.
+
+    Hard mode gives one-hot rows of the predicted label and soft mode the
+    probability rows (M = K). With the neighbor majorities `nbr` of
+    nacc_features, outcome j*K + nbr[v] takes the mass row v puts on label j
+    (M = K^2), so neighborhood-aware estimation is the same estimator on this
+    matrix.
+    """
+    K = preds.K
+    base = np.eye(K)[preds.require(HARD)] if mode == HARD else preds.require(SOFT)
+    if nbr is None:
+        return base
+    n = len(base)
+    outcomes = np.zeros((n, K, K))
+    outcomes[np.arange(n), :, nbr] = base
+    return outcomes.reshape(n, K * K)
+
+
+def prevalence_vector(outcomes: np.ndarray, vertices) -> np.ndarray:
+    """Observed outcome prevalence over the given vertices (duplicates count);
+    `outcomes` is an outcome_matrix."""
     vertices = np.asarray(vertices, dtype=np.int64)
     if len(vertices) == 0:
         raise DataError("prevalence over an empty vertex list is undefined")
-    channel = preds.require(mode)
-    if mode == HARD:
-        return np.bincount(channel[vertices], minlength=preds.K) / len(vertices)
-    return channel[vertices].mean(axis=0)
+    return outcomes[vertices].mean(axis=0)
 
 
-def _normalize_columns(num: np.ndarray, denom: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    m = num.shape[0]
-    C = np.empty_like(num)
-    zero_support = []
-    for i in range(num.shape[1]):
-        if denom[i] > 0:
-            C[:, i] = num[:, i] / denom[i]
-        else:
-            C[:, i] = 1.0 / m
-            zero_support.append(i)
-    return C, tuple(zero_support)
+def confusion_estimate(outcomes: np.ndarray, train_vertices, train_labels, K: int,
+                       weights=None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Weighted conditional outcome distribution, C[j, i] = P(outcome=j | y=i),
+    an (M, K) column-stochastic matrix, and the classes with zero support.
 
-
-def confusion_estimate(preds: PredictionSet, train_vertices, train_labels,
-                       weights=None, mode: str = HARD) -> ConfusionEstimate:
-    """Weighted conditional prediction distribution, column j|i = P(pred=j | y=i).
-
+    `outcomes` is an outcome_matrix and `train_labels` are integers in 0..K-1.
     With equal weights this is the plain per-class confusion estimate. Classes
-    with zero weighted support get a uniform column and are flagged.
+    with zero weighted support get a uniform column.
     """
     train_vertices = np.asarray(train_vertices, dtype=np.int64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
-    K = preds.K
-    if train_labels.size and (train_labels.min() < 0 or train_labels.max() >= K):
-        raise DataError(f"train label out of range for K={K}")
     weights = _as_weights(weights, len(train_vertices))
-    num = np.zeros((K, K))
-    if mode == HARD:
-        hard = preds.require(HARD)
-        np.add.at(num, (hard[train_vertices], train_labels), weights)
-    else:
-        soft = preds.require(SOFT)
-        for i in range(K):
-            sel = train_labels == i
-            if sel.any():
-                num[:, i] = weights[sel] @ soft[train_vertices[sel]]
+    num = outcomes[train_vertices].T @ (weights[:, None] * np.eye(K)[train_labels])
     denom = np.bincount(train_labels, weights=weights, minlength=K)
-    C, zero_support = _normalize_columns(num, denom)
-    return ConfusionEstimate(C=C, p_hat=None, mode=mode, nacc=False,
-                             zero_support=zero_support)
+    zero = denom <= 0
+    C = num / np.where(zero, 1.0, denom)
+    C[:, zero] = 1.0 / num.shape[0]
+    return C, tuple(np.flatnonzero(zero).tolist())
 
 
-def nacc_features(g: Graph, preds: PredictionSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex (own predicted label, majority predicted label of neighbors).
+def nacc_features(g: Graph, preds: PredictionSet) -> np.ndarray:
+    """Per-vertex majority predicted label of the neighbors.
 
     Majority ties break to the lowest label; a vertex without neighbors uses
     its own prediction as the neighbor majority.
@@ -172,58 +154,7 @@ def nacc_features(g: Graph, preds: PredictionSet) -> tuple[np.ndarray, np.ndarra
     majority = np.argmax(counts, axis=1)
     isolated = g.degrees == 0
     majority[isolated] = hard[isolated]
-    return hard.copy(), majority
-
-
-def _pair_index(own: np.ndarray, nbr: np.ndarray, K: int) -> np.ndarray:
-    return own * K + nbr
-
-
-def nacc_prevalence(features, preds: PredictionSet, vertices, mode: str = HARD) -> np.ndarray:
-    """Observed prevalence over (own, neighbor-majority) pairs, length K^2;
-    `features` is nacc_features(g, preds)."""
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if len(vertices) == 0:
-        raise DataError("prevalence over an empty vertex list is undefined")
-    K = preds.K
-    own, nbr = features
-    if mode == HARD:
-        pairs = _pair_index(own[vertices], nbr[vertices], K)
-        return np.bincount(pairs, minlength=K * K) / len(vertices)
-    soft = preds.require(SOFT)
-    out = np.zeros(K * K)
-    # soft over the own-label dimension, hard majority over the neighbor one
-    for j in range(K):
-        np.add.at(out, j * K + nbr[vertices], soft[vertices, j])
-    return out / len(vertices)
-
-
-def nacc_confusion_estimate(features, preds: PredictionSet, train_vertices, train_labels,
-                            weights=None, mode: str = HARD) -> ConfusionEstimate:
-    """Weighted conditional distribution of (own, neighbor-majority) pairs per
-    true class: a (K^2, K) column-stochastic matrix; `features` is
-    nacc_features(g, preds)."""
-    train_vertices = np.asarray(train_vertices, dtype=np.int64)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    K = preds.K
-    if train_labels.size and (train_labels.min() < 0 or train_labels.max() >= K):
-        raise DataError(f"train label out of range for K={K}")
-    weights = _as_weights(weights, len(train_vertices))
-    own, nbr = features
-    num = np.zeros((K * K, K))
-    if mode == HARD:
-        pairs = _pair_index(own[train_vertices], nbr[train_vertices], K)
-        np.add.at(num, (pairs, train_labels), weights)
-    else:
-        soft = preds.require(SOFT)
-        nbr_t = nbr[train_vertices]
-        for j in range(K):
-            rows = j * K + nbr_t
-            np.add.at(num, (rows, train_labels), weights * soft[train_vertices, j])
-    denom = np.bincount(train_labels, weights=weights, minlength=K)
-    C, zero_support = _normalize_columns(num, denom)
-    return ConfusionEstimate(C=C, p_hat=None, mode=mode, nacc=True,
-                             zero_support=zero_support)
+    return majority
 
 
 def _as_weights(weights, n: int) -> np.ndarray:

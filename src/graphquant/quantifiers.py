@@ -10,11 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimation
-from .classifiers import _infer_num_classes
+from .classifiers import check_train_labels
 from .errors import ConfigError
 from .estimation import (HARD, SOFT, PredictionSet, confusion_estimate, density_ratio,
-                         kde_density, nacc_confusion_estimate, nacc_prevalence,
-                         prevalence_vector)
+                         kde_density, outcome_matrix, prevalence_vector)
 from .graph import Graph, check_vertex_ids
 from .kernels import KernelSpec, make_evaluator
 from .solver import solve_simplex_lsq
@@ -81,7 +80,6 @@ class _WeightContext:
     a harness that quantifies one batch once per classifier builds them once."""
 
     def __init__(self, spec: QuantifierSpec, g: Graph, train_vertices: np.ndarray):
-        self.train_vertices = train_vertices
         self.n = g.n
         self._last: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
         if not spec.uses_sis:
@@ -93,10 +91,13 @@ class _WeightContext:
         p_kernel = make_evaluator(kernel_p, g, train_vertices)
         self.p_density = kde_density(p_kernel, [train_vertices], g.n)[:, 0]
 
-    def weights_for(self, samples: list[np.ndarray]) -> list[np.ndarray]:
-        """Importance weights of the training vertices, one array per sample."""
-        if self.q_kernel is None or not samples:
-            return [np.ones(len(self.train_vertices)) for _ in samples]
+    def weights_for(self, samples: list[np.ndarray]) -> list[np.ndarray] | None:
+        """Importance weights of the training vertices, one array per sample;
+        None for a quantifier without importance sampling."""
+        if self.q_kernel is None:
+            return None
+        if not samples:
+            return []
         last_samples, last_weights = self._last
         if len(samples) == len(last_samples) and all(
                 np.array_equal(a, b) for a, b in zip(samples, last_samples)):
@@ -125,9 +126,9 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
     resources are then built once per (kernel_q, kernel_p) pair and reused.
     """
     train_vertices = check_vertex_ids(train_vertices, g.n, "train vertices")
-    train_labels = np.asarray(train_labels, dtype=np.int64)
     samples = [check_vertex_ids(s, g.n, "test sample", nonempty=True) for s in samples]
-    K = _infer_num_classes(g, train_labels, preds.K if preds is not None else None)
+    train_labels, K = check_train_labels(g, train_vertices, train_labels,
+                                         preds.K if preds is not None else None)
 
     if spec.base == MLPE:
         if len(train_labels) == 0:
@@ -137,10 +138,12 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
 
     if preds is None:
         raise ConfigError(f"{spec.name} needs a prediction set")
-    mode = _mode(spec)
+    # looked up on the module so that tracing and test doubles see the call
+    nbr = estimation.nacc_features(g, preds) if spec.nacc else None
+    outcomes = outcome_matrix(preds, _mode(spec), nbr)
 
     if spec.base == CC:
-        return [PrevalenceVector(q=prevalence_vector(preds, s, mode), K=K, spec=spec)
+        return [PrevalenceVector(q=prevalence_vector(outcomes, s), K=K, spec=spec)
                 for s in samples]
 
     if weight_cache is None:
@@ -148,22 +151,18 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
     key = (spec.kernel_q, spec.kernel_p)
     if key not in weight_cache:
         weight_cache[key] = _WeightContext(spec, g, train_vertices)
-    context = weight_cache[key]
-    # looked up on the module so that tracing and test doubles see the call
-    features = estimation.nacc_features(g, preds) if spec.nacc else None
+    weights = weight_cache[key].weights_for(samples)
+    unweighted = (confusion_estimate(outcomes, train_vertices, train_labels, K)
+                  if weights is None else None)
     results = []
-    for s, weights in zip(samples, context.weights_for(samples)):
-        if spec.nacc:
-            est = nacc_confusion_estimate(features, preds, train_vertices, train_labels,
-                                          weights, mode)
-            est = est.with_prevalences(nacc_prevalence(features, preds, s, mode))
-        else:
-            est = confusion_estimate(preds, train_vertices, train_labels, weights, mode)
-            est = est.with_prevalences(prevalence_vector(preds, s, mode))
-        solved = solve_simplex_lsq(est.C, est.p_hat)
+    for j, s in enumerate(samples):
+        C, zero_support = (unweighted if weights is None else
+                           confusion_estimate(outcomes, train_vertices, train_labels, K,
+                                              weights[j]))
+        solved = solve_simplex_lsq(C, prevalence_vector(outcomes, s))
         flags = []
         if not solved.converged:
             flags.append("solver-not-converged")
-        flags.extend(f"zero-support:{i}" for i in est.zero_support)
+        flags.extend(f"zero-support:{i}" for i in zero_support)
         results.append(PrevalenceVector(q=solved.q, K=K, spec=spec, flags=tuple(flags)))
     return results

@@ -180,6 +180,33 @@ class TestEnq:
             enq_predict(g, [], [], num_classes=2)
 
 
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+class TestTrainLabels:
+    @pytest.mark.parametrize("fit", [enq_predict, label_prop_predict])
+    def test_label_count_mismatch_rejected(self, fit):
+        # a single label used to be broadcast: class 1 for every vertex
+        with pytest.raises(DataError, match="one train label per train vertex"):
+            fit(PATH4, [0, 3], [1], num_classes=2)
+
+    def test_negative_label_rejected_not_wrapped(self):
+        # label propagation used to wrap -1 to class 1
+        with pytest.raises(DataError, match="out of range"):
+            label_prop_predict(PATH4, [0, 3], [0, -1], num_classes=2)
+
+    def test_label_past_num_classes_rejected(self):
+        # label propagation used to raise IndexError
+        with pytest.raises(DataError, match="out of range"):
+            label_prop_predict(PATH4, [0, 3], [0, 2], num_classes=2)
+
+    @pytest.mark.parametrize("fit", [enq_predict, label_prop_predict])
+    def test_fractional_label_rejected(self, fit):
+        # 1.7 used to be truncated to class 1
+        with pytest.raises(DataError, match="integers"):
+            fit(PATH4, [0, 3], [0, 1.7], num_classes=2)
+
+
 class TestLabelProp:
     def test_zero_iterations_is_initialization(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from graphquant import estimation, quantifiers
 from graphquant.errors import ConfigError, DataError
-from graphquant.estimation import PredictionSet, nacc_confusion_estimate, nacc_prevalence
+from graphquant.estimation import (PredictionSet, confusion_estimate, outcome_matrix,
+                                   prevalence_vector)
 from graphquant.graph import Graph
 from graphquant.kernels import KernelSpec
 from graphquant.quantifiers import QuantifierSpec, _WeightContext, quantify, quantify_batch
@@ -212,6 +213,14 @@ class TestVertexIds:
             quantify(QuantifierSpec(base="acc"), g, np.append(train, 500),
                      np.append(train_labels, 0), test, preds)
 
+    @pytest.mark.parametrize("base", ["acc", "mlpe", "cc"])
+    def test_train_label_count_mismatch_rejected(self, base):
+        # acc raised numpy's ValueError and mlpe returned [0, 1] without an error
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        preds = PredictionSet.from_hard([0, 1, 1, 0], K=2)
+        with pytest.raises(DataError, match="one train label per train vertex"):
+            quantify(QuantifierSpec(base=base), g, [0, 1, 2], [1], [3], preds)
+
 
 class TestNaccFeaturesOncePerBatch:
     def test_one_feature_pass_and_identical_estimates(self, monkeypatch):
@@ -235,11 +244,36 @@ class TestNaccFeaturesOncePerBatch:
             mode = "soft" if mode_probabilistic else "hard"
             for s, est in zip(samples, batched):
                 # the system as built with the features recomputed in every call
-                alone = nacc_confusion_estimate(original(g, preds), preds, train,
-                                                g.labels[train], np.ones(len(train)), mode)
-                alone = alone.with_prevalences(nacc_prevalence(original(g, preds), preds,
-                                                               s, mode))
-                assert np.array_equal(solve_simplex_lsq(alone.C, alone.p_hat).q, est.q)
+                C, _ = confusion_estimate(outcome_matrix(preds, mode, original(g, preds)),
+                                          train, g.labels[train], 3)
+                p_hat = prevalence_vector(outcome_matrix(preds, mode, original(g, preds)), s)
+                assert np.array_equal(solve_simplex_lsq(C, p_hat).q, est.q)
+
+
+class TestConfusionOncePerBatch:
+    def test_unweighted_once_per_batch_sis_once_per_sample(self, monkeypatch):
+        g = generate_sbm([30, 30, 30], 0.2, 0.02, seed=3)
+        rng = np.random.default_rng(4)
+        preds = PredictionSet.from_soft(rng.dirichlet(np.ones(3), size=90))
+        train, pool = np.arange(0, 90, 2), np.arange(1, 90, 2)
+        samples = [rng.choice(pool, size=20) for _ in range(4)]
+        calls = []
+        original = quantifiers.confusion_estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(quantifiers, "confusion_estimate", counting)
+        sis = KernelSpec.ppr(alpha=0.1, walk_len=4, interp=0.9)
+        for spec, expected in ((QuantifierSpec(base="cc"), 0),
+                               (QuantifierSpec(base="acc"), 1),
+                               (QuantifierSpec(base="acc", probabilistic=True, nacc=True), 1),
+                               (QuantifierSpec(base="acc", kernel_q=sis), len(samples)),
+                               (QuantifierSpec(base="acc", nacc=True, kernel_q=sis),
+                                len(samples))):
+            calls.clear()
+            quantify_batch(spec, g, train, g.labels[train], samples, preds)
+            assert len(calls) == expected, spec.name
 
 
 class TestWeightsOncePerShift:
