@@ -18,31 +18,31 @@ DEFAULT_LP_ITERATIONS = 50
 DEFAULT_LP_DAMPING = 0.85
 
 
-def _infer_num_classes(g: Graph, train_labels, num_classes):
+def _infer_num_classes(g: Graph, labels, num_classes):
     if num_classes is not None:
         return int(num_classes)
     if g.labels is not None:
         return g.num_classes
-    return int(np.max(train_labels, initial=-1)) + 1
+    return int(np.max(labels, initial=-1)) + 1
 
 
-def check_train_labels(g: Graph, train_vertices: np.ndarray, train_labels,
-                       num_classes=None) -> tuple[np.ndarray, int]:
-    """The training labels as an int64 array and the number of classes K,
-    checked at the boundary: one integer label per training vertex, each in
+def check_labels(g: Graph, vertices: np.ndarray, labels, num_classes=None,
+                 what: str = "train") -> tuple[np.ndarray, int]:
+    """The labels of the given vertices as an int64 array and the number of
+    classes K, checked at the boundary: one integer label per vertex, each in
     0..K-1. K is `num_classes`, else the graph's class count, else the largest
     label + 1. Raises DataError otherwise, so no label broadcasts, truncates
-    or wraps around."""
-    labels = np.asarray(train_labels)
-    if labels.shape != (len(train_vertices),):
-        raise DataError(f"expected one train label per train vertex ({len(train_vertices)}), "
+    or wraps around; `what` names the vertex set in the message."""
+    labels = np.asarray(labels)
+    if labels.shape != (len(vertices),):
+        raise DataError(f"expected one {what} label per {what} vertex ({len(vertices)}), "
                         f"got shape {labels.shape}")
     if labels.size and labels.dtype.kind not in "iu":
-        raise DataError(f"train labels must be integers, got dtype {labels.dtype}")
+        raise DataError(f"{what} labels must be integers, got dtype {labels.dtype}")
     labels = labels.astype(np.int64, copy=False)
     K = _infer_num_classes(g, labels, num_classes)
     if labels.size and (labels.min() < 0 or labels.max() >= K):
-        raise DataError(f"train label out of range for K={K}")
+        raise DataError(f"{what} label out of range for K={K}")
     return labels, K
 
 
@@ -56,7 +56,7 @@ def enq_predict(g: Graph, train_vertices, train_labels, num_classes=None) -> Pre
     train_vertices = check_vertex_ids(train_vertices, g.n, "ENQ training vertices")
     if len(train_vertices) == 0:
         raise DataError("ENQ needs a non-empty training set")
-    train_labels, K = check_train_labels(g, train_vertices, train_labels, num_classes)
+    train_labels, K = check_labels(g, train_vertices, train_labels, num_classes)
     label_of = np.full(g.n, -1, dtype=np.int64)
     label_of[train_vertices] = train_labels
     src, dst = g.edge_arrays()
@@ -87,7 +87,7 @@ def label_prop_predict(g: Graph, train_vertices, train_labels,
         raise DataError(f"damping must be in (0,1), got {damping}")
     if iterations < 0:
         raise DataError("iterations must be >= 0")
-    train_labels, K = check_train_labels(g, train_vertices, train_labels, num_classes)
+    train_labels, K = check_labels(g, train_vertices, train_labels, num_classes)
 
     init = np.full((g.n, K), 1.0 / K)
     init[train_vertices] = 0.0

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import _infer_num_classes
+from .classifiers import check_labels
 from .errors import ConfigError, DataError
 from .graph import Graph, check_vertex_ids
 
@@ -155,8 +155,7 @@ def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
     """
     pool_vertices = check_vertex_ids(pool_vertices, g.n, f"{sampler.upper()} sampling pool",
                                      nonempty=True)
-    pool_labels = np.asarray(pool_labels, dtype=np.int64)
-    K = _infer_num_classes(g, pool_labels, num_classes)
+    pool_labels, K = check_labels(g, pool_vertices, pool_labels, num_classes, what="pool")
     in_pool = np.zeros(g.n, dtype=bool)
     in_pool[pool_vertices] = True
     label_lookup = np.full(g.n, -1, dtype=np.int64)

@@ -293,6 +293,14 @@ class TestPoolIds:
             sampler(g, pool, np.zeros(len(pool), dtype=np.int64), seeds_per_label=1, n=3,
                     num_classes=2)
 
+    @pytest.mark.parametrize("sampler", [sample_bfs, sample_rw])
+    def test_start_vertex_samplers_reject_empty_pool_before_inferring_classes(self, sampler):
+        # without graph labels K comes from the pool labels; an empty pool
+        # stops before that, so no sampler runs with K = 0
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(DataError, match="sampling pool"):
+            sampler(g, [], [], seeds_per_label=1, n=2)
+
     @pytest.mark.parametrize("kind", ["pps", "bfs", "rw"])
     def test_draw_samples_rejects_out_of_range_pool(self, kind):
         g = generate_sbm([20, 20], 0.3, 0.05, seed=1)
@@ -300,6 +308,26 @@ class TestPoolIds:
         with pytest.raises(DataError, match="vertex id 99 out of range for n=40"):
             draw_samples(ShiftConfig(name=kind, kind=kind, n=3, num_dists=2, seeds_per_label=1),
                          g, pool, np.array([0, 0, 1, 1]), seed=0, num_classes=2)
+
+
+class TestPoolLabels:
+    """The start-vertex samplers check pool labels like training labels. An
+    unequal count used to raise IndexError or numpy's ValueError, 1.5 was
+    truncated to class 1, label 2 with K=2 gave true prevalences of length 3,
+    and -1 dropped the vertex from the pool (RW: numpy's ValueError). PPS keeps
+    ignoring labels past K: criterion 08 draws two of three classes that way."""
+
+    @pytest.mark.parametrize("kind", ["bfs", "rw"])
+    @pytest.mark.parametrize("labels,match", [([1], "one pool label per pool vertex"),
+                                              ([0, 1, 1], "one pool label per pool vertex"),
+                                              ([0, 1, 1.5, 0], "integers"),
+                                              ([0, 1, 2, 0], "out of range"),
+                                              ([0, -1, 1, 0], "out of range")])
+    def test_bad_pool_labels_rejected(self, kind, labels, match):
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=1)
+        with pytest.raises(DataError, match=match):
+            draw_samples(ShiftConfig(name=kind, kind=kind, n=3, num_dists=2, seeds_per_label=1),
+                         g, np.array([0, 1, 25, 30]), np.array(labels), seed=0, num_classes=2)
 
 
 class TestSbm:
