@@ -26,13 +26,11 @@ def _infer_num_classes(g: Graph, labels, num_classes):
     return int(np.max(labels, initial=-1)) + 1
 
 
-def check_labels(g: Graph, vertices: np.ndarray, labels, num_classes=None,
-                 what: str = "train") -> tuple[np.ndarray, int]:
-    """The labels of the given vertices as an int64 array and the number of
-    classes K, checked at the boundary: one integer label per vertex, each in
-    0..K-1. K is `num_classes`, else the graph's class count, else the largest
-    label + 1. Raises DataError otherwise, so no label broadcasts, truncates
-    or wraps around; `what` names the vertex set in the message."""
+def check_label_array(vertices, labels, what: str = "train") -> np.ndarray:
+    """The labels of the given vertices as an int64 array, checked at the
+    boundary: one non-negative integer label per vertex. Raises DataError
+    otherwise, so no label broadcasts, truncates or wraps around; `what` names
+    the vertex set in the message."""
     labels = np.asarray(labels)
     if labels.shape != (len(vertices),):
         raise DataError(f"expected one {what} label per {what} vertex ({len(vertices)}), "
@@ -40,8 +38,19 @@ def check_labels(g: Graph, vertices: np.ndarray, labels, num_classes=None,
     if labels.size and labels.dtype.kind not in "iu":
         raise DataError(f"{what} labels must be integers, got dtype {labels.dtype}")
     labels = labels.astype(np.int64, copy=False)
+    if labels.size and labels.min() < 0:
+        raise DataError(f"{what} label out of range: {labels.min()} is negative")
+    return labels
+
+
+def check_labels(g: Graph, vertices: np.ndarray, labels, num_classes=None,
+                 what: str = "train") -> tuple[np.ndarray, int]:
+    """check_label_array, plus the number of classes K and a check that every
+    label is below it. K is `num_classes`, else the graph's class count, else
+    the largest label + 1."""
+    labels = check_label_array(vertices, labels, what)
     K = _infer_num_classes(g, labels, num_classes)
-    if labels.size and (labels.min() < 0 or labels.max() >= K):
+    if labels.size and labels.max() >= K:
         raise DataError(f"{what} label out of range for K={K}")
     return labels, K
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import check_labels
+from .classifiers import check_label_array, check_labels
 from .errors import ConfigError, DataError
 from .graph import Graph, check_vertex_ids
 
@@ -93,10 +93,11 @@ def sample_pps(pool_vertices, pool_labels, num_classes: int, num_dists=None,
 
     If a class cannot fill its quota, the deficit is redistributed to the
     remaining classes proportionally to their targets and the sample is
-    flagged if it still comes up short.
+    flagged if it still comes up short. Pool labels must be non-negative
+    integers, one per pool vertex; labels >= num_classes are never drawn.
     """
     pool_vertices = np.asarray(pool_vertices, dtype=np.int64)
-    pool_labels = np.asarray(pool_labels, dtype=np.int64)
+    pool_labels = check_label_array(pool_vertices, pool_labels, what="pool")
     if len(pool_vertices) == 0:
         raise DataError("PPS sampling needs a non-empty pool")
     if num_dists is None:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphquant
 from graphquant import harness
 from graphquant.cli import SPLIT_ROLES, build_parser, load_split, main
 from graphquant.errors import DataError
@@ -296,6 +301,31 @@ class TestExperimentAndAggregate:
         lines = summary.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 quantifiers
         assert (tmp_path / "summary_ranks.csv").exists()
+
+    def test_aggregate_does_not_load_scipy_special(self, tmp_path):
+        results = tmp_path / "results.csv"
+        with open(results, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(harness.RESULT_FIELDS)
+            # both quantifiers' errors spread, so the Welch t and its tail are finite
+            for i, (cc, acc) in enumerate([(0.30, 0.10), (0.20, 0.15), (0.35, 0.05)]):
+                writer.writerow(["d", "pps", "enq", "cc", 0, i, 20, cc, cc, ""])
+                writer.writerow(["d", "pps", "enq", "acc", 0, i, 20, acc, acc, ""])
+        script = (
+            "import sys\n"
+            "from graphquant.cli import main\n"
+            f"assert main(['aggregate', '--results', {str(results)!r}, "
+            f"'--out', {str(tmp_path / 'summary.csv')!r}]) == 0\n"
+            "print('scipy.special' in sys.modules)\n"
+            "import scipy.special\n"
+            "print('scipy.special' in sys.modules)\n")
+        src = str(Path(graphquant.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        # the last line reads True, which shows the check can see the module
+        assert out[-2:] == ["False", "True"]
 
     def test_output_override(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -1,10 +1,12 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import betainc
 
 from graphquant import harness, quantifiers
 from graphquant.config import parse_config
@@ -13,6 +15,19 @@ from graphquant.harness import (ResultRow, ae, aggregate, rae, read_results_csv,
                                 run_experiment, student_t_sf, welch_one_sided_pvalue)
 from graphquant.shift import uniform_split
 from graphquant.harness import load_dataset
+
+
+def betainc_student_t_sf(t: float, dof: float) -> float:
+    """The t tail through scipy.special.betainc: the oracle for student_t_sf.
+    It rounds x = dof/(dof + t²) before betainc sees it, so near x = 1 it is
+    less exact than the function it checks."""
+    if dof <= 0:
+        raise DataError("degrees of freedom must be positive")
+    if t == 0.0:
+        return 0.5
+    x = dof / (dof + t * t)
+    tail = 0.5 * float(betainc(dof / 2.0, 0.5, x))
+    return tail if t > 0 else 1.0 - tail
 
 
 def base_config(tmp_path, **overrides):
@@ -105,6 +120,54 @@ class TestWelch:
         assert welch_one_sided_pvalue(np.array([0.25]), np.array([0.0, 0.25, 0.5])) == 0.5
         assert welch_one_sided_pvalue(np.array([0.4]), np.array([0.3])) == 0.0
         assert welch_one_sided_pvalue(np.array([0.2]), np.array([0.3])) == 1.0
+
+
+class TestStudentTail:
+    """student_t_sf against the betainc oracle and scipy.stats.t.sf. Welch's
+    dof is at most the rows of both groups less two, so dof <= 1e3 covers
+    every realistic aggregate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(-300.0, 300.0), dof=st.floats(0.05, 1e3))
+    def test_matches_oracle_and_scipy(self, t, dof):
+        tail = student_t_sf(t, dof)
+        assert abs(tail - scipy_stats.t.sf(t, dof)) <= 1e-12
+        # the oracle's rounded x costs it up to 1e-7 where 1 - x is tiny (t = 2.4e-7
+        # at dof 564); from 1 - x >= 1e-3 on that rounding stays below 1e-13
+        if t * t / (dof + t * t) >= 1e-3:
+            assert abs(tail - betainc_student_t_sf(t, dof)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(-300.0, 300.0), dof=st.floats(1e3, 1e7))
+    def test_matches_scipy_at_large_dof(self, t, dof):
+        assert abs(student_t_sf(t, dof) - scipy_stats.t.sf(t, dof)) <= 1e-8
+
+    def test_large_dof_tiny_t_does_not_round_to_half(self):
+        # x = dof/(dof + t²) rounds to 1.0 here, so the oracle returns exactly 0.5
+        t, dof = 8.8e-6, 5.9e6
+        assert betainc_student_t_sf(t, dof) == 0.5
+        assert student_t_sf(t, dof) == pytest.approx(scipy_stats.t.sf(t, dof), abs=1e-12)
+
+    @pytest.mark.parametrize("dof", [0.05, 1.0, 7.5, 1e3, 1e7])
+    def test_zero_and_infinite_t(self, dof):
+        assert student_t_sf(0.0, dof) == 0.5
+        assert student_t_sf(-0.0, dof) == 0.5
+        assert student_t_sf(math.inf, dof) == 0.0
+        assert student_t_sf(-math.inf, dof) == 1.0
+
+    def test_infinite_dof_is_the_normal_tail(self):
+        for t in [-2.0, 0.0, 0.3, 4.0]:
+            assert student_t_sf(t, math.inf) == pytest.approx(
+                scipy_stats.norm.sf(t), abs=1e-15)
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(student_t_sf(math.nan, 5.0))
+        assert math.isnan(student_t_sf(1.0, math.nan))
+
+    @pytest.mark.parametrize("dof", [0.0, -1.0, -math.inf])
+    def test_nonpositive_dof_rejected(self, dof):
+        with pytest.raises(DataError):
+            student_t_sf(1.0, dof)
 
 
 class TestAggregate:

@@ -317,6 +317,23 @@ class TestPoolLabels:
     and -1 dropped the vertex from the pool (RW: numpy's ValueError). PPS keeps
     ignoring labels past K: criterion 08 draws two of three classes that way."""
 
+    @pytest.mark.parametrize("labels,match", [([0, 1, 1], "one pool label per pool vertex"),
+                                              ([0, 1, 1.5, 0], "integers"),
+                                              ([0, -1, 1, 0], "negative")])
+    def test_bad_pps_pool_labels_rejected(self, labels, match):
+        # PPS used to raise IndexError, truncate 1.5 to class 1 and drop the -1 vertex
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=1)
+        with pytest.raises(DataError, match=match):
+            draw_samples(ShiftConfig(name="pps", kind="pps", n=3, num_dists=2),
+                         g, np.array([0, 1, 25, 30]), np.array(labels), seed=0, num_classes=2)
+
+    def test_pps_ignores_labels_past_num_classes(self):
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=1)
+        samples = draw_samples(ShiftConfig(name="pps", kind="pps", n=3, num_dists=4),
+                               g, np.array([0, 1, 25, 30]), np.array([0, 1, 2, 0]),
+                               seed=0, num_classes=2)
+        assert all(25 not in s.vertices for s in samples)
+
     @pytest.mark.parametrize("kind", ["bfs", "rw"])
     @pytest.mark.parametrize("labels,match", [([1], "one pool label per pool vertex"),
                                               ([0, 1, 1], "one pool label per pool vertex"),
