@@ -3,11 +3,9 @@
 Projected gradient descent with a fixed 1/Lipschitz step and sort-based
 Euclidean projection onto the simplex, followed by an active-set polish
 that solves the KKT system exactly on the support found by the gradient
-phase. Where C has dependent columns the optimum is not unique, and the
-polish picks one that does not depend on the order of the classes. The
-objective is non-increasing up to rounding, the start point is the
-uniform vector, and no randomness is involved, so identical inputs give
-bitwise identical outputs.
+phase. The objective is monotonically non-increasing, the start point is
+the uniform vector, and no randomness is involved, so identical inputs
+give bitwise identical outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .errors import ConfigError
 
 DEFAULT_TOL = 1e-8
 MAX_ITERATIONS = 10_000
-FLAT_CURVATURE = 1e-10  # relative to trace(C'C): below it a direction is flat in the polish
 
 
 @dataclass(frozen=True)
@@ -75,9 +72,6 @@ def solve_simplex_lsq(C, p, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERAT
         return float(r @ r)
 
     obj = objective(q)
-    # objectives closer than rounding cannot rank two points; such ties go to the
-    # polish's KKT point, so that the choice does not follow the order of the classes
-    slack = 4.0 * np.finfo(np.float64).eps * (float(p @ p) + obj)
     lipschitz = 2.0 * float(np.linalg.eigvalsh(ctc)[-1]) if k > 1 else 2.0 * float(ctc[0, 0])
     trajectory = [obj] if debug else None
     if lipschitz < np.finfo(np.float64).tiny:
@@ -101,8 +95,8 @@ def solve_simplex_lsq(C, p, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERAT
             converged = True
             break
 
-    q_polished = _polish_active_set(ctc, ctp, q, slack)
-    if objective(q_polished) <= obj + slack:
+    q_polished = _polish_active_set(ctc, ctp, q)
+    if objective(q_polished) <= obj:
         q = q_polished
         if debug:
             trajectory.append(objective(q))
@@ -114,8 +108,7 @@ def solve_simplex_lsq(C, p, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERAT
                             trajectory=tuple(trajectory) if debug else None)
 
 
-def _polish_active_set(ctc: np.ndarray, ctp: np.ndarray, q: np.ndarray,
-                       slack: float) -> np.ndarray:
+def _polish_active_set(ctc: np.ndarray, ctp: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve the equality-constrained least squares exactly on the support of q,
     dropping negative coordinates and re-adding coordinates whose KKT
     multiplier says they belong, until the KKT conditions hold."""
@@ -127,17 +120,16 @@ def _polish_active_set(ctc: np.ndarray, ctp: np.ndarray, q: np.ndarray,
     support = np.nonzero(q > 0.0)[0]
     best, best_obj = q, objective_quad(q)
     for _ in range(3 * k):
-        x, nearest_bound = _solve_kkt(ctc, ctp, support)
-        if x.min() < -1e-12 or nearest_bound is not None:
-            drop = int(np.argmin(x)) if nearest_bound is None else nearest_bound
-            support = np.delete(support, drop)
+        x = _solve_kkt(ctc, ctp, support)
+        if x.min() < -1e-12:
+            support = np.delete(support, int(np.argmin(x)))
             if len(support) == 0:
                 return best
             continue
         candidate = np.zeros(k)
         candidate[support] = np.maximum(x, 0.0)
         candidate /= candidate.sum()
-        if objective_quad(candidate) <= best_obj + slack:
+        if objective_quad(candidate) <= best_obj:
             best, best_obj = candidate, objective_quad(candidate)
         grad = 2.0 * (ctc @ candidate - ctp)
         nu = grad[support].mean()
@@ -151,35 +143,17 @@ def _polish_active_set(ctc: np.ndarray, ctp: np.ndarray, q: np.ndarray,
     return best
 
 
-def _solve_kkt(ctc: np.ndarray, ctp: np.ndarray,
-               support: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """Minimize x'Ax - 2b'x subject to sum(x) = 1, with A and b the rows of C'C and
-    C'p on the support. Where the minimizer is not unique, also return the position
-    in the support of the coordinate to drop next (None otherwise)."""
+def _solve_kkt(ctc: np.ndarray, ctp: np.ndarray, support: np.ndarray) -> np.ndarray:
     s = len(support)
-    a = ctc[np.ix_(support, support)]
-    uniform = np.full(s, 1.0 / s)
-    # x = uniform + basis @ y over an orthonormal basis of {d : sum(d) = 0}. Solving
-    # for y alone, rather than for x and a multiplier of the constraint, keeps the
-    # system at the scale of C'C, so its flat directions are found at any scale.
-    basis = np.linalg.svd(np.ones((1, s)))[2][1:].T
-    curvature, directions = np.linalg.eigh(basis.T @ a @ basis)
-    flat = curvature <= np.trace(a) * FLAT_CURVATURE
-    slope = ctp[support] - a @ uniform
-    # centred, since basis' @ 1 is zero only up to rounding
-    steep = directions[:, ~flat]
-    y = steep @ (steep.T @ (basis.T @ (slope - slope.mean())) / curvature[~flat])
-    x = uniform + basis @ y
-    if not flat.any() or x.min() < -1e-12:
-        return x, None
-    # Dependent columns of C: the minimizers form a face, and x is its least-norm
-    # point, which does not depend on the order of the classes. As a simplex ratio
-    # test does, leave it towards the coordinate bound nearest to it, unless that
-    # bound is tied. reach[i] is the length of coordinate axis i projected onto the
-    # flat directions.
-    reach = np.linalg.norm(basis @ directions[:, flat], axis=1)
-    distance = np.where(reach > 1e-8, np.maximum(x, 0.0) / np.maximum(reach, 1e-8), np.inf)
-    first, second = np.argsort(distance)[:2]
-    if distance[second] <= distance[first] * (1.0 + 1e-9) + 1e-15:
-        return x, None
-    return x, int(first)
+    kkt = np.zeros((s + 1, s + 1))
+    kkt[:s, :s] = 2.0 * ctc[np.ix_(support, support)]
+    kkt[:s, s] = 1.0
+    kkt[s, :s] = 1.0
+    rhs = np.concatenate([2.0 * ctp[support], [1.0]])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = None
+    if sol is None or not np.isfinite(sol).all():
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    return sol[:s]

@@ -1,9 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +7,6 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphquant
 from graphquant import harness
 from graphquant.cli import SPLIT_ROLES, build_parser, load_split, main
 from graphquant.errors import DataError
@@ -302,7 +297,7 @@ class TestExperimentAndAggregate:
         assert len(lines) == 3  # header + 2 quantifiers
         assert (tmp_path / "summary_ranks.csv").exists()
 
-    def test_aggregate_does_not_load_scipy_special(self, tmp_path):
+    def test_aggregate_does_not_load_scipy_special(self, tmp_path, fresh_python):
         results = tmp_path / "results.csv"
         with open(results, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
@@ -319,11 +314,7 @@ class TestExperimentAndAggregate:
             "print('scipy.special' in sys.modules)\n"
             "import scipy.special\n"
             "print('scipy.special' in sys.modules)\n")
-        src = str(Path(graphquant.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True).stdout.splitlines()
+        out = fresh_python(script)
         # the last line reads True, which shows the check can see the module
         assert out[-2:] == ["False", "True"]
 

@@ -1,9 +1,5 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +7,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphquant
 from graphquant import kernels
 from graphquant.errors import ConfigError, DataError
 from graphquant.estimation import kde_density
@@ -154,7 +149,7 @@ class TestShortestPathBlock:
         assert np.array_equal(_shortest_path_block(g, rows, 3.0),
                               csgraph_shortest_path_block(g, rows, 3.0))
 
-    def test_sp_quantify_does_not_load_csgraph(self):
+    def test_sp_quantify_does_not_load_csgraph(self, fresh_python):
         script = (
             "import sys\n"
             "import numpy as np\n"
@@ -169,11 +164,7 @@ class TestShortestPathBlock:
             "print('scipy.sparse.csgraph' in sys.modules)\n"
             "connected_components(g)\n"
             "print('scipy.sparse.csgraph' in sys.modules)\n")
-        src = str(Path(graphquant.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True).stdout.split()
+        out = fresh_python(script)
         # loaded only by connected_components, which shows the check can see it
         assert out == ["False", "True"]
 
