@@ -122,32 +122,36 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
     Soft rows whose sum is off by at most 1e-6 are renormalized; anything
     further from the simplex is rejected.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        first = next(filter(str.strip, f), "")
-    arity = 1 if "," not in first else K
+    text = Path(path).read_text(encoding="utf-8")
+    # the first non-blank line tells hard labels from probability rows
+    arity = 1 if "," not in text.lstrip().partition("\n")[0] else K
     values = parse_table(path, np.int64 if arity == 1 else np.float64,
-                         lambda exc: _prediction_row_error(path, n, K, exc), delimiter=",")
+                         lambda exc: _prediction_row_error(path, text, n, K, exc),
+                         delimiter=",", text=text)
     if len(values) == n == 0:
         return PredictionSet.from_hard(np.empty(0, dtype=np.int64), K)
+    # checked here, so the PredictionSet is built without checking it again
     if values.shape == (n, arity):
         if arity == 1:
             if not ((values < 0) | (values >= K)).any():
-                return PredictionSet.from_hard(values.ravel(), K)
+                return PredictionSet(K=int(K), hard=values.ravel())
         else:
             sums = values.sum(axis=1)
             off = np.abs(sums - 1.0)
-            # NaN fails both comparisons, so finiteness is checked first
-            if np.isfinite(values).all() and not (values < 0).any() and not (off > 1e-6).any():
+            # a NaN or an infinity fails one of the two comparisons
+            if values.min() >= 0 and off.max() <= 1e-6:
                 renorm = off > 1e-12
                 values[renorm] /= sums[renorm, None]
-                return PredictionSet.from_soft(values)
-    raise _prediction_row_error(path, n, K, None)
+                # ties to the lowest index, as in PredictionSet.from_soft
+                return PredictionSet(K=values.shape[1], hard=np.argmax(values, axis=1),
+                                     soft=values)
+    raise _prediction_row_error(path, text, n, K, None)
 
 
-def _prediction_row_error(path, n: int, K: int, exc) -> DataError:
-    """The error for a rejected predictions file: a wrong row count or arity,
-    or else its first offending row; the file is only scanned row by row here."""
-    text = Path(path).read_text(encoding="utf-8")
+def _prediction_row_error(path, text: str, n: int, K: int, exc) -> DataError:
+    """The error for a rejected predictions file with contents `text`: a wrong
+    row count or arity, or else its first offending row; the text is only scanned
+    row by row here."""
     numbered = [(lineno, line.strip()) for lineno, line in enumerate(text.split("\n"), start=1)
                 if line.strip()]
     if len(numbered) != n:

@@ -17,15 +17,14 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import config as config_mod
 from . import harness
 from .classifiers import enq_predict, label_prop_predict, save_predictions, load_predictions
 from .config import (DEFAULT_FRACTIONS, DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS,
-                     load_config, parse_quantifier_spec)
+                     load_config, load_yaml, parse_quantifier_spec)
 from .errors import ConfigError, DataError
-from .graph import Graph, check_vertex_ids, load_graph, save_graph
+from .graph import Graph, check_vertex_ids, load_graph, parses_like_int, save_graph
 from .quantifiers import quantify
 from .shift import (DEFAULT_RW_ALPHA, DEFAULT_RW_WALK_LEN, DEFAULT_SAMPLE_SIZE,
                     DEFAULT_SEEDS_PER_LABEL, DEFAULT_ZIPF_EXPONENT, SplitSpec,
@@ -57,28 +56,23 @@ def save_split(split: SplitSpec, path) -> None:
                 writer.writerow([int(v), role])
 
 
+# one field wider than the longest role: a longer role that np.loadtxt cuts to
+# this width still matches no role
+_SPLIT_ROW = np.dtype([("vertex", np.int64), ("role", f"U{max(map(len, SPLIT_ROLES)) + 1}")])
+
+
 def load_split(path, n: int) -> SplitSpec:
     """Read a split file; every row is 'vertex,role', ids must lie in 0..n-1 and
     each vertex may appear in at most one role, once."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        if next(csv.reader(f), None) != ["vertex", "role"]:
-            raise DataError(f"{path}: expected header 'vertex,role'")
-    # one C-level parse into a string array: holding one csv.reader list per row
-    # would push thousands of objects through the garbage collector's generations
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a split without rows is valid
-            rows = np.loadtxt(path, dtype=str, delimiter=",", quotechar='"', comments=None,
-                              skiprows=1, ndmin=2, encoding="utf-8")
-    except ValueError:
-        raise _split_row_error(path) from None
-    if rows.size == 0:
-        rows = rows.reshape(0, 2)
-    if rows.shape[1] != 2 or not np.isin(rows[:, 1], SPLIT_ROLES).all():
-        raise _split_row_error(path)
-    vertices, roles = rows.T
-    parts = [np.sort(check_vertex_ids(vertices[roles == role], n, f"{path}: {role}"))
-             for role in SPLIT_ROLES]
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.split("\n")
+    if next(csv.reader(lines[:1]), None) != ["vertex", "role"]:
+        raise DataError(f"{path}: expected header 'vertex,role'")
+    by_role = _split_by_loadtxt(text, lines)
+    if by_role is None:
+        by_role = _split_by_row(path)
+    parts = [np.sort(check_vertex_ids(ids, n, f"{path}: {role}"))
+             for role, ids in zip(SPLIT_ROLES, by_role)]
     every = np.sort(np.concatenate(parts))
     repeated = every[1:][every[1:] == every[:-1]]
     if repeated.size:
@@ -86,10 +80,33 @@ def load_split(path, n: int) -> SplitSpec:
     return SplitSpec(*parts)
 
 
-def _split_row_error(path) -> DataError:
-    """The error for the first row of a rejected split file that is not a
-    'vertex,role' pair with a known role; the file is only scanned row by row
-    here."""
+def _split_by_loadtxt(text: str, lines: list[str]) -> list[np.ndarray] | None:
+    """The int64 vertex ids of each role, from one np.loadtxt call on the rows
+    after the header; None if it rejects a row, or if a role is unknown."""
+    if not parses_like_int(text):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a split without rows is valid
+            # older numpy parses an int token such as '1.5' through float, with only a
+            # DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, dtype=_SPLIT_ROW, delimiter=",", quotechar='"',
+                              comments=None, skiprows=1, ndmin=1, encoding="utf-8")
+    except (ValueError, DeprecationWarning):
+        return None
+    is_role = [rows["role"] == role for role in SPLIT_ROLES]
+    if not np.logical_or.reduce(is_role).all():
+        return None
+    return [rows["vertex"][mask] for mask in is_role]
+
+
+def _split_by_row(path) -> list[list[str]]:
+    """The vertex-id strings of each role, read row by row with the csv module;
+    raises DataError naming the first row that is not a 'vertex,role' pair with a
+    known role. The slow path, taken only where the one-call parse rejects a row
+    or might read an id differently from int()."""
+    by_role = {role: [] for role in SPLIT_ROLES}
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         next(reader)
@@ -97,11 +114,12 @@ def _split_row_error(path) -> DataError:
             if not row:
                 continue
             if len(row) != 2:
-                return DataError(f"{path}:{reader.line_num}: expected 'vertex,role', "
-                                 f"got {len(row)} fields")
-            if row[1] not in SPLIT_ROLES:
-                return DataError(f"{path}: unknown split role {row[1]!r}")
-    return DataError(f"{path}: malformed split rows")
+                raise DataError(f"{path}:{reader.line_num}: expected 'vertex,role', "
+                                f"got {len(row)} fields")
+            if row[1] not in by_role:
+                raise DataError(f"{path}: unknown split role {row[1]!r}")
+            by_role[row[1]].append(row[0])
+    return list(by_role.values())
 
 
 def cmd_gen_graph(args) -> int:
@@ -163,11 +181,7 @@ def cmd_quantify(args) -> int:
     split = load_split(args.split, g.n)
     train = split.quantifier_train
     preds = load_predictions(args.preds, g.n, g.num_classes) if args.preds else None
-    try:
-        raw_spec = yaml.safe_load(args.quantifier)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"--quantifier: invalid YAML: {exc}")
-    spec = parse_quantifier_spec(raw_spec or {})
+    spec = parse_quantifier_spec(load_yaml(args.quantifier, "--quantifier") or {})
     if args.sample_index is not None:
         sections = load_sample_sections(args.test, g.n)
         if not 0 <= args.sample_index < len(sections):

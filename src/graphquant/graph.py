@@ -7,7 +7,6 @@ lists sorted ascending, no duplicates and no self-loops.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,13 +47,23 @@ class Graph:
         loops = edges[:, 0] == edges[:, 1]
         if loops.any():
             edges = edges[~loops]
-        # one int64 key u*n+v per direction; sorted, so rows come out grouped by u
-        # with ascending neighbors, and duplicates are adjacent
-        keys = np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])
+        # one int64 key u << 32 | v per direction (ids stay below 2**31: the indptr of
+        # a larger graph alone would take 16 GiB); sorted, so rows come out grouped
+        # by u with ascending neighbors, and duplicates are adjacent
+        m = len(edges)
+        keys = np.empty(2 * m, dtype=np.int64)
+        forward, reverse = keys[:m], keys[m:]
+        np.left_shift(edges[:, 0], 32, out=forward)
+        forward |= edges[:, 1]
+        np.left_shift(edges[:, 1], 32, out=reverse)
+        reverse |= edges[:, 0]
         keys.sort()
-        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])] if keys.size else keys
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        return cls(n=int(n), indptr=indptr.astype(np.int64), indices=keys % n,
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            keys = keys[np.concatenate([[True], ~repeated])]
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
+        return cls(n=int(n), indptr=indptr.astype(np.int64, copy=False),
+                   indices=keys & 0xFFFFFFFF,
                    labels=_validate_labels(labels, n),
                    features=_validate_features(features, n))
 
@@ -182,24 +191,32 @@ def save_graph(g: Graph, edge_path, labels_path=None, features_path=None) -> Non
         Path(features_path).write_text("".join(r + "\n" for r in rows))
 
 
-# a line of blanks after a newline; np.loadtxt skips such lines only without a delimiter
-_BLANKS_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
+def parses_like_int(text: str) -> bool:
+    """Whether np.loadtxt parses each integer token of `text` as int() does. It
+    does on ASCII text without the separators \\x1c-\\x1f, which np.loadtxt skips
+    as blanks where int() rejects them; non-ASCII characters it may misread as
+    digits ('1\\u01fe' as 472)."""
+    return text.isascii() and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
 
 
-def parse_table(path, dtype, explain, delimiter=None, comments=None) -> np.ndarray:
+def parse_table(path, dtype, explain, delimiter=None, comments=None, text=None) -> np.ndarray:
     """The rows of a text file as one 2-D array, parsed by one np.loadtxt call.
 
     Blank lines are skipped. A rejected file -- a token that is not a number of
     `dtype`, a ragged row, or an integer that numpy would parse through float --
     raises `explain(exc)`: the caller's line scan, which only builds the error
     naming the first offending line. Callers raise `explain(None)` for their own
-    checks on the parsed array.
+    checks on the parsed array. With a delimiter the file is read as text once;
+    `text` is its contents if the caller has read them already.
     """
     source = path
     if delimiter is not None:
-        text = "\n" + Path(path).read_text(encoding="utf-8")
-        if _BLANKS_LINE.search(text):
-            source = _BLANKS_LINE.sub("\n", text).split("\n")
+        if text is None:
+            text = Path(path).read_text(encoding="utf-8")
+        source = text.split("\n")
+        # np.loadtxt skips empty lines, but lines of blanks only without a delimiter
+        if any(map(str.isspace, source)):
+            source = [line for line in source if not line.isspace()]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file without rows is valid

@@ -164,7 +164,10 @@ def welch_one_sided_pvalue(worse: np.ndarray, best: np.ndarray) -> float:
     if n1 < 2 or n2 < 2 or pooled == 0.0:
         return 0.5 if mean_diff == 0 else (0.0 if mean_diff > 0 else 1.0)
     t = mean_diff / math.sqrt(pooled)
-    dof = pooled ** 2 / (v1 ** 2 / (n1 - 1) + v2 ** 2 / (n2 - 1))
+    # scaled by the larger variance first, so that tiny variances do not square to 0
+    scale = max(v1, v2)
+    s1, s2 = v1 / scale, v2 / scale
+    dof = (s1 + s2) ** 2 / (s1 ** 2 / (n1 - 1) + s2 ** 2 / (n2 - 1))
     return student_t_sf(t, dof)
 
 

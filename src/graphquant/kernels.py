@@ -77,17 +77,19 @@ def normalized_adjacency_sparse(g: Graph) -> sp.csr_matrix:
 
     Built from the graph's CSR arrays: entry (u, v) is 1/deg(v), and each
     isolated vertex, whose row is empty, gets its self-loop inserted there, so
-    column indices stay sorted.
+    column indices stay sorted. Without isolated vertices nothing is inserted.
     """
     deg = g.degrees
     inv = np.zeros(g.n)
     nz = deg > 0
     inv[nz] = 1.0 / deg[nz]
+    data, indices, indptr = inv[g.indices], g.indices, g.indptr
     iso = np.flatnonzero(~nz)
-    at = g.indptr[iso]
-    indptr = g.indptr + np.concatenate([[0], np.cumsum(~nz)])
-    return sp.csr_matrix((np.insert(inv[g.indices], at, 1.0), np.insert(g.indices, at, iso),
-                          indptr), shape=(g.n, g.n))
+    if iso.size:
+        at = g.indptr[iso]
+        data, indices = np.insert(data, at, 1.0), np.insert(indices, at, iso)
+        indptr = indptr + np.concatenate([[0], np.cumsum(~nz)])
+    return sp.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
 
 
 def _check_ppr_params(alpha, walk_len):

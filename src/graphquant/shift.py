@@ -93,10 +93,11 @@ def sample_pps(pool_vertices, pool_labels, num_classes: int, num_dists=None,
 
     If a class cannot fill its quota, the deficit is redistributed to the
     remaining classes proportionally to their targets and the sample is
-    flagged if it still comes up short. Pool labels must be non-negative
+    flagged if it still comes up short. Pool vertex ids must be non-negative
+    integers (there is no graph to bound them), and pool labels non-negative
     integers, one per pool vertex; labels >= num_classes are never drawn.
     """
-    pool_vertices = np.asarray(pool_vertices, dtype=np.int64)
+    pool_vertices = check_vertex_ids(pool_vertices, np.iinfo(np.int64).max, "PPS sampling pool")
     pool_labels = check_label_array(pool_vertices, pool_labels, what="pool")
     if len(pool_vertices) == 0:
         raise DataError("PPS sampling needs a non-empty pool")
@@ -338,20 +339,27 @@ _HEADER_LINE = re.compile(r"^(.*=.*)$", re.MULTILINE)
 
 def load_sample_sections(path, n: int) -> list[tuple[dict, np.ndarray]]:
     """Parse a samples file back into (header fields, vertex ids) sections;
-    ids must lie in 0..n-1."""
+    ids must lie in 0..n-1. The ids of every section are views into one array."""
     # [text before the first header, header 1, its id lines, header 2, ...]
     parts = _HEADER_LINE.split(Path(path).read_text(encoding="utf-8"))
     try:
         if parts[0].strip():
             raise ValueError("vertex id before any sample header")
+        headers = [dict(tok.split("=", 1) for tok in header.strip().split(","))
+                   for header in parts[1::2]]
+        bodies = [list(filter(str.strip, body.split("\n"))) for body in parts[2::2]]
         # np.array parses each non-blank line as int() does
-        sections = [(dict(tok.split("=", 1) for tok in header.strip().split(",")),
-                     np.array(list(filter(str.strip, body.split("\n"))), dtype=np.int64))
-                    for header, body in zip(parts[1::2], parts[2::2])]
+        ids = np.array([line for body in bodies for line in body], dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise _sample_line_error(path, exc) from None
-    return [(fields, check_vertex_ids(ids, n, f"{path}: sample {i}"))
-            for i, (fields, ids) in enumerate(sections)]
+    sections = np.split(ids, np.cumsum([len(body) for body in bodies])[:-1])
+    try:
+        check_vertex_ids(ids, n, f"{path}: samples")
+    except DataError:
+        for i, section in enumerate(sections):  # name the first sample with a bad id
+            check_vertex_ids(section, n, f"{path}: sample {i}")
+        raise
+    return list(zip(headers, sections))
 
 
 def _sample_line_error(path, exc) -> DataError:

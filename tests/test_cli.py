@@ -49,13 +49,16 @@ def load_split_by_row(path, n):
 @st.composite
 def split_file_lines(draw):
     """Split-file lines: a header that is sometimes missing, reordered or too
-    long, then rows with in-range, out-of-range, negative, non-integer and
-    repeated ids, unknown roles, quoted fields, blank lines and rows of one or
-    three fields."""
+    long, then rows with in-range, out-of-range, negative, non-integer,
+    20-digit and repeated ids, ids that np.loadtxt and int() parse differently,
+    unknown roles, roles longer than the parser's fixed width, quoted fields,
+    blank lines and rows of one or three fields."""
     header = draw(st.sampled_from(["vertex,role"] * 4 + ["role,vertex", "vertex", "",
                                                          "vertex,role,x", '"vertex","role"']))
-    vertex = st.sampled_from(["0", "1", "3", "7", "9", "10", "-1", "x", "1.5", " 2", "07", ""])
-    role = st.sampled_from(list(SPLIT_ROLES) * 2 + ["train", "Test", "", "test "])
+    vertex = st.sampled_from(["0", "1", "3", "7", "9", "10", "-1", "x", "1.5", " 2", "07", "",
+                              "12345678901234567890", "1\x1c", "1\u01fe", "\u0661"])
+    role = st.sampled_from(list(SPLIT_ROLES) * 2 + ["train", "Test", "", "test ",
+                                                     "classifier_trainX", "test" + "x" * 40])
     pair = st.tuples(vertex, role).map(",".join)
     quoted = st.tuples(vertex, role).map(lambda vr: f'"{vr[0]}","{vr[1]}"')
     odd = st.one_of(vertex, st.tuples(vertex, role, vertex).map(",".join))
@@ -258,6 +261,34 @@ class TestVertexIdFiles:
             for a, b in zip((got.classifier_train, got.quantifier_train, got.test),
                             (want.classifier_train, want.quantifier_train, want.test)):
                 assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("row,message", [
+        ("3,classifier_trainX", "unknown split role 'classifier_trainX'"),
+        ("3,test" + "x" * 40, "unknown split role 'test" + "x" * 40 + "'"),
+        ("12345678901234567890,test", "test: non-integer vertex id"),
+    ])
+    def test_field_past_parse_width_rejected_like_row_oracle(self, tmp_path, row, message):
+        # the one-call parse reads roles into a fixed width and ids as int64; a
+        # longer role or id must not be cut to fit
+        path = tmp_path / "split.csv"
+        path.write_text(f"vertex,role\n5,classifier_train\n{row}\n")
+        got = outcome(load_split, path, 60)
+        assert got == outcome(load_split_by_row, path, 60)
+        assert message in got
+
+    def test_vertex_ids_parsed_as_int_does(self, tmp_path):
+        # np.loadtxt skips \x1c-\x1f as blanks and reads '1\u01fe' as 472, where
+        # int() rejects both; every ASCII character, beside a digit or alone
+        path = tmp_path / "split.csv"
+        chars = [chr(c) for c in range(1, 128) if chr(c) not in '\n\r,"'] + ["\u01fe", "\u0661"]
+        for c in chars:
+            for vertex in (c, "1" + c, c + "1", "1" + c + "1"):
+                path.write_text(f"vertex,role\n{vertex},test\n", encoding="utf-8")
+                got, want = outcome(load_split, path, 2000), outcome(load_split_by_row, path, 2000)
+                if isinstance(want, str):
+                    assert got == want, repr(vertex)
+                else:
+                    assert np.array_equal(got.test, want.test), repr(vertex)
 
     def test_split_file_out_of_range_exits_2(self, tmp_path):
         args = self.quantify_files(tmp_path)

@@ -1,6 +1,11 @@
-import pytest
+import ast
+import re
+from pathlib import Path
 
-from graphquant.config import parse_config, parse_kernel_spec, parse_quantifier_spec
+import pytest
+import yaml
+
+from graphquant.config import load_yaml, parse_config, parse_kernel_spec, parse_quantifier_spec
 from graphquant.errors import ConfigError
 from graphquant.kernels import KernelSpec
 from graphquant.quantifiers import QuantifierSpec
@@ -111,3 +116,43 @@ class TestExperimentConfigKeys:
             repetitions=2, seed=3, output="out.csv")
         cfg = parse_config(raw)
         assert cfg.repetitions == 2 and cfg.shifts[0].seeds_per_label == 2
+
+
+def yaml_texts() -> list[str]:
+    """Every quantifier spec and config text in the README (its yaml blocks and
+    `--quantifier` arguments) and in the tests (string literals that open a
+    mapping or start with a `dataset:` key)."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    texts = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    texts += re.findall(r"--quantifier '([^']*)'", readme)
+    for path in sorted((root / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith(("{", "dataset:"))):
+                texts.append(node.value)
+    return texts
+
+
+def parsed_by(loader, text):
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError:
+        return "rejected"
+
+
+class TestYamlLoaders:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_libyaml_and_python_loaders_agree(self):
+        texts = yaml_texts()
+        assert "{base: acc, kernel_q: {kind: ppr}}" in texts and "{base: acc" in texts
+        assert any("quantifiers:" in text for text in texts)
+        for text in texts:
+            assert parsed_by(yaml.CSafeLoader, text) == parsed_by(yaml.SafeLoader, text), text
+
+    def test_rejected_text_named_as_by_python_loader(self):
+        with pytest.raises(yaml.YAMLError) as exc:
+            yaml.safe_load("{base: acc")
+        with pytest.raises(ConfigError) as got:
+            load_yaml("{base: acc", "--quantifier")
+        assert str(got.value) == f"--quantifier: invalid YAML: {exc.value}"

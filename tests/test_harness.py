@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ class TestWelch:
         assert welch_one_sided_pvalue(worse, best) == 0.0
         assert welch_one_sided_pvalue(best, worse) == 1.0
         assert welch_one_sided_pvalue(best, best.copy()) == 0.5
+
+    def test_tiny_variances_give_the_p_value_of_the_unscaled_data(self):
+        # the squared variances underflowed, so the dof was 0/0 and p NaN
+        worse, best = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = welch_one_sided_pvalue(worse * 1e-84, best * 1e-84)
+        assert 0.0 <= p <= 1.0
+        assert p == pytest.approx(welch_one_sided_pvalue(worse, best), rel=1e-12)
 
     def test_single_observation_equal_means_give_half(self):
         assert welch_one_sided_pvalue(np.array([0.3]), np.array([0.3])) == 0.5

@@ -293,6 +293,13 @@ class TestPoolIds:
             sampler(g, pool, np.zeros(len(pool), dtype=np.int64), seeds_per_label=1, n=3,
                     num_classes=2)
 
+    @pytest.mark.parametrize("pool,match", [([0.5, 1.7, 2.2], "must be integers"),
+                                            ([0, -1, 2], "negative vertex id -1")])
+    def test_pps_rejects_bad_pool(self, pool, match):
+        # called directly, PPS drew vertices [0 2] from the first pool
+        with pytest.raises(DataError, match=f"PPS sampling pool: .*{match}"):
+            sample_pps(pool, [0, 1, 1], 2, num_dists=1, n=2, seed=0)
+
     @pytest.mark.parametrize("sampler", [sample_bfs, sample_rw])
     def test_start_vertex_samplers_reject_empty_pool_before_inferring_classes(self, sampler):
         # without graph labels K comes from the pool labels; an empty pool
