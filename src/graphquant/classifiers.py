@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimation import PredictionSet
-from .graph import Graph, check_vertex_ids, parse_table
+from .graph import Graph, check_vertex_ids, read_table
 
 DEFAULT_LP_ITERATIONS = 50
 DEFAULT_LP_DAMPING = 0.85
@@ -124,67 +124,75 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
     """
     text = Path(path).read_text(encoding="utf-8")
     # the first non-blank line tells hard labels from probability rows
-    arity = 1 if "," not in text.lstrip().partition("\n")[0] else K
-    values = parse_table(path, np.int64 if arity == 1 else np.float64,
-                         lambda exc: _prediction_row_error(path, text, n, K, exc),
-                         delimiter=",", text=text)
-    if len(values) == n == 0:
-        return PredictionSet.from_hard(np.empty(0, dtype=np.int64), K)
+    hard = "," not in text.lstrip().partition("\n")[0]
+    rule = _hard_row if hard else _soft_row
+    try:
+        values = read_table(path, np.int64 if hard else np.float64, lambda line: rule(line, K),
+                            check=lambda table: _rules_pass(table, K), delimiter=",", text=text)
+    except DataError as exc:
+        raise _prediction_shape_error(path, text, n, K) or exc from None
+    if len(values) != n:
+        raise _prediction_shape_error(path, text, n, K)
     # checked here, so the PredictionSet is built without checking it again
-    if values.shape == (n, arity):
-        if arity == 1:
-            if not ((values < 0) | (values >= K)).any():
-                return PredictionSet(K=int(K), hard=values.ravel())
-        else:
-            sums = values.sum(axis=1)
-            off = np.abs(sums - 1.0)
-            # a NaN or an infinity fails one of the two comparisons
-            if values.min() >= 0 and off.max() <= 1e-6:
-                renorm = off > 1e-12
-                values[renorm] /= sums[renorm, None]
-                # ties to the lowest index, as in PredictionSet.from_soft
-                return PredictionSet(K=values.shape[1], hard=np.argmax(values, axis=1),
-                                     soft=values)
-    raise _prediction_row_error(path, text, n, K, None)
+    if hard:
+        return PredictionSet(K=int(K), hard=values.ravel())
+    sums = values.sum(axis=1)
+    renorm = np.abs(sums - 1.0) > 1e-12
+    values[renorm] /= sums[renorm, None]
+    # ties to the lowest index, as in PredictionSet.from_soft
+    return PredictionSet(K=int(K), hard=np.argmax(values, axis=1), soft=values)
 
 
-def _prediction_row_error(path, text: str, n: int, K: int, exc) -> DataError:
-    """The error for a rejected predictions file with contents `text`: a wrong
-    row count or arity, or else its first offending row; the text is only scanned
-    row by row here."""
-    numbered = [(lineno, line.strip()) for lineno, line in enumerate(text.split("\n"), start=1)
-                if line.strip()]
-    if len(numbered) != n:
-        return DataError(f"{path}: expected {n} prediction rows, got {len(numbered)}")
-    arity = numbered[0][1].count(",") + 1
+def _rules_pass(table: np.ndarray, K: int) -> bool:
+    """Whether every row of a parsed predictions table passes its row rule."""
+    if table.dtype.kind == "i":
+        return table.shape[1] == 1 and not ((table < 0) | (table >= K)).any()
+    # a NaN or an infinity fails one of the two comparisons
+    return (table.shape[1] == K and table.min() >= 0
+            and np.abs(table.sum(axis=1) - 1.0).max() <= 1e-6)
+
+
+def _hard_row(line: str, K: int) -> tuple[int]:
+    toks = line.split(",")
+    if len(toks) != 1:
+        raise DataError("expected a single label")
+    try:
+        label = int(toks[0])
+    except ValueError:
+        raise DataError(f"expected an integer label, got {toks[0]!r}") from None
+    if not 0 <= label < K:
+        raise DataError(f"label {label} out of range for K={K}")
+    return (label,)
+
+
+def _soft_row(line: str, K: int) -> np.ndarray:
+    toks = line.split(",")
+    if len(toks) != K:
+        raise DataError(f"expected {K} columns, got {len(toks)}")
+    try:
+        row = np.asarray([float(t) for t in toks])
+    except ValueError:
+        raise DataError("non-numeric probability") from None
+    if not np.isfinite(row).all():
+        raise DataError("non-finite probability")
+    if row.min() < 0:
+        raise DataError("negative probability")
+    s = row.sum()
+    if abs(s - 1.0) > 1e-6:
+        raise DataError(f"probabilities sum to {s:.8f}, not 1")
+    return row
+
+
+def _prediction_shape_error(path, text: str, n: int, K: int) -> DataError | None:
+    """The error for a predictions file with contents `text` that has other
+    than n rows, or whose first row has neither 1 nor K columns; None if it
+    has neither fault. These are reported before any row's own fault."""
+    rows = [line for line in text.split("\n") if line.strip()]
+    if len(rows) != n:
+        return DataError(f"{path}: expected {n} prediction rows, got {len(rows)}")
+    arity = rows[0].count(",") + 1 if rows else 1
     if arity not in (1, K):
         return DataError(f"{path}: rows must have 1 or {K} columns, got {arity}")
-    for lineno, line in numbered:
-        toks = line.split(",")
-        if arity == 1:
-            if len(toks) != 1:
-                return DataError(f"{path}:{lineno}: expected a single label")
-            try:
-                label = int(toks[0])
-            except ValueError:
-                return DataError(f"{path}:{lineno}: expected an integer label, got {toks[0]!r}")
-            if not 0 <= label < K:
-                return DataError(f"{path}:{lineno}: label {label} out of range for K={K}")
-            continue
-        if len(toks) != K:
-            return DataError(f"{path}:{lineno}: expected {K} columns, got {len(toks)}")
-        try:
-            row = np.asarray([float(t) for t in toks])
-        except ValueError:
-            return DataError(f"{path}:{lineno}: non-numeric probability")
-        if not np.isfinite(row).all():
-            return DataError(f"{path}:{lineno}: non-finite probability")
-        if row.min() < 0:
-            return DataError(f"{path}:{lineno}: negative probability")
-        s = row.sum()
-        if abs(s - 1.0) > 1e-6:
-            return DataError(f"{path}:{lineno}: probabilities sum to {s:.8f}, not 1")
-    return DataError(f"{path}: cannot parse prediction rows: {exc}")
 
 
 def save_predictions(preds: PredictionSet, path) -> None:

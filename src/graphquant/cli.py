@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .classifiers import enq_predict, label_prop_predict, save_predictions, load
 from .config import (DEFAULT_FRACTIONS, DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS,
                      load_config, load_yaml, parse_quantifier_spec)
 from .errors import ConfigError, DataError
-from .graph import Graph, check_vertex_ids, load_graph, parses_like_int, save_graph
+from .graph import Graph, check_vertex_ids, guarded_loadtxt, load_graph, save_graph
 from .quantifiers import quantify
 from .shift import (DEFAULT_RW_ALPHA, DEFAULT_RW_WALK_LEN, DEFAULT_SAMPLE_SIZE,
                     DEFAULT_SEEDS_PER_LABEL, DEFAULT_ZIPF_EXPONENT, SplitSpec,
@@ -34,12 +33,14 @@ from .shift import (DEFAULT_RW_ALPHA, DEFAULT_RW_WALK_LEN, DEFAULT_SAMPLE_SIZE,
 SPLIT_ROLES = ("classifier_train", "quantifier_train", "test")
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
-
-
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok != ""]
+def _numbers(text: str, kind, flag: str) -> list:
+    """The comma-separated numbers of `kind` given to `flag`; ConfigError naming
+    the flag if one is not a number."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected comma-separated {kind.__name__}s, "
+                          f"got {text!r}") from None
 
 
 def _load_graph_args(args) -> Graph:
@@ -81,19 +82,11 @@ def load_split(path, n: int) -> SplitSpec:
 
 
 def _split_by_loadtxt(text: str, lines: list[str]) -> list[np.ndarray] | None:
-    """The int64 vertex ids of each role, from one np.loadtxt call on the rows
-    after the header; None if it rejects a row, or if a role is unknown."""
-    if not parses_like_int(text):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a split without rows is valid
-            # older numpy parses an int token such as '1.5' through float, with only a
-            # DeprecationWarning
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(lines, dtype=_SPLIT_ROW, delimiter=",", quotechar='"',
-                              comments=None, skiprows=1, ndmin=1, encoding="utf-8")
-    except (ValueError, DeprecationWarning):
+    """The int64 vertex ids of each role, from guarded_loadtxt on the rows after
+    the header; None if that rejects the rows, or if a role is unknown."""
+    rows = guarded_loadtxt(text, lines, _SPLIT_ROW, delimiter=",", quotechar='"',
+                           comments=None, skiprows=1, ndmin=1)
+    if rows is None:
         return None
     is_role = [rows["role"] == role for role in SPLIT_ROLES]
     if not np.logical_or.reduce(is_role).all():
@@ -123,8 +116,9 @@ def _split_by_row(path) -> list[list[str]]:
 
 
 def cmd_gen_graph(args) -> int:
-    g = generate_sbm(_ints(args.blocks), args.p_in, args.p_out,
-                     block_labels=_ints(args.block_labels) if args.block_labels else None,
+    g = generate_sbm(_numbers(args.blocks, int, "--blocks"), args.p_in, args.p_out,
+                     block_labels=(_numbers(args.block_labels, int, "--block-labels")
+                                   if args.block_labels else None),
                      seed=args.seed)
     save_graph(g, args.out_edges, labels_path=args.out_labels)
     print(f"wrote {g.n} vertices, {g.num_edges} edges")
@@ -133,7 +127,7 @@ def cmd_gen_graph(args) -> int:
 
 def cmd_split(args) -> int:
     g = _load_graph_args(args)
-    split = uniform_split(g, _floats(args.fractions), seed=args.seed)
+    split = uniform_split(g, _numbers(args.fractions, float, "--fractions"), seed=args.seed)
     save_split(split, args.out)
     sizes = [len(split.classifier_train), len(split.quantifier_train), len(split.test)]
     print(f"split sizes: {sizes}")

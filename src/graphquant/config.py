@@ -7,6 +7,7 @@ package defaults.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,6 +121,20 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw, base_dir=Path(path).parent)
 
 
+def _wrong_types_are_config_errors(parse):
+    """`parse`, raising ConfigError where int(), float() or another conversion
+    rejects a value of the parsed YAML: a value that is not a number where one
+    is due."""
+    @functools.wraps(parse)
+    def checked(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config value of the wrong type: {exc}") from None
+    return checked
+
+
+@_wrong_types_are_config_errors
 def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
 
@@ -129,7 +144,7 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     _section(raw, _TOP_KEYS, "config")
     dataset = _parse_dataset(_require(raw, "dataset"), resolve)
     split = _section(raw.get("split") or {}, _SPLIT_KEYS, "split")
-    fractions = tuple(split.get("fractions", DEFAULT_FRACTIONS))
+    fractions = tuple(float(f) for f in split.get("fractions", DEFAULT_FRACTIONS))
     if len(fractions) != 3:
         raise ConfigError(f"split fractions must have 3 entries, got {fractions}")
     classifiers = tuple(_parse_classifier(c, i, resolve)
@@ -237,6 +252,7 @@ def parse_kernel_spec(raw) -> KernelSpec:
     return KernelSpec(kind=kind)
 
 
+@_wrong_types_are_config_errors
 def parse_quantifier_spec(raw: dict) -> QuantifierSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"quantifier spec must be a mapping, got {raw!r}")

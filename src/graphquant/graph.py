@@ -191,122 +191,115 @@ def save_graph(g: Graph, edge_path, labels_path=None, features_path=None) -> Non
         Path(features_path).write_text("".join(r + "\n" for r in rows))
 
 
-def parses_like_int(text: str) -> bool:
-    """Whether np.loadtxt parses each integer token of `text` as int() does. It
-    does on ASCII text without the separators \\x1c-\\x1f, which np.loadtxt skips
-    as blanks where int() rejects them; non-ASCII characters it may misread as
-    digits ('1\\u01fe' as 472)."""
-    return text.isascii() and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
-
-
-def parse_table(path, dtype, explain, delimiter=None, comments=None, text=None) -> np.ndarray:
-    """The rows of a text file as one 2-D array, parsed by one np.loadtxt call.
-
-    Blank lines are skipped. A rejected file -- a token that is not a number of
-    `dtype`, a ragged row, or an integer that numpy would parse through float --
-    raises `explain(exc)`: the caller's line scan, which only builds the error
-    naming the first offending line. Callers raise `explain(None)` for their own
-    checks on the parsed array. With a delimiter the file is read as text once;
-    `text` is its contents if the caller has read them already.
+def guarded_loadtxt(data: str | bytes, source, dtype, **kwargs) -> np.ndarray | None:
+    """`source` -- a file with contents `data` (text or bytes), or its lines --
+    parsed by one np.loadtxt call; None where np.loadtxt rejects it or might read
+    a number otherwise than int() and float() do. They agree on ASCII text without
+    \\x1c-\\x1f, which np.loadtxt skips as blanks where int() and float() reject
+    them; other characters np.loadtxt may misread as digits ('1\\u01fe' as 472).
+    numpy from 1.23 on may parse an int token such as '1.5' through float, with
+    only a DeprecationWarning: a rejection too.
     """
-    source = path
+    separators = b"\x1c\x1d\x1e\x1f" if isinstance(data, bytes) else "\x1c\x1d\x1e\x1f"
+    if not data.isascii() or any(sep in data for sep in separators):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows is valid
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(source, dtype=dtype, encoding="utf-8", **kwargs)
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def read_table(path, dtype, row, check=None, delimiter=None, comments=None,
+               text=None) -> np.ndarray:
+    """The rows of a text file as one 2-D array of `dtype`, skipping blank lines
+    and, with `comments`, comment lines.
+
+    `row(line)` is the format's rule for one stripped line: it returns the
+    line's values or raises DataError with the reason. `check(table)` tells
+    whether the rules accept every row of an array that np.loadtxt parsed, for
+    what np.loadtxt cannot check. Where guarded_loadtxt returns None or `check`
+    fails, the rows come from the rules, and the error names the first line
+    they reject or that has another number of values than the first. So a file
+    is accepted exactly when its rules accept it. `text` is the file's contents
+    if the caller has read them.
+    """
+    source = path  # np.loadtxt reads a path faster than a list of lines
     if delimiter is not None:
-        if text is None:
-            text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8") if text is None else text
         source = text.split("\n")
         # np.loadtxt skips empty lines, but lines of blanks only without a delimiter
         if any(map(str.isspace, source)):
             source = [line for line in source if not line.isspace()]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file without rows is valid
-            # numpy from 1.23 on may parse an int token such as '1.5' through float, with only
-            # a DeprecationWarning; make that a rejection as well
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=comments,
-                              ndmin=2, encoding="utf-8")
-    except (ValueError, DeprecationWarning) as exc:
-        raise explain(exc) from None
+    # where np.loadtxt reads the path, the guard scans the bytes: faster to read than the text
+    data = Path(path).read_bytes() if text is None else text
+    table = guarded_loadtxt(data, source, dtype, delimiter=delimiter, comments=comments, ndmin=2)
+    if table is not None and (check is None or check(table)):
+        return table
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or (comments and line.startswith(comments)):
+            continue
+        try:
+            values = np.array(row(line), dtype=dtype)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        except OverflowError:
+            raise DataError(f"{path}:{lineno}: value out of range in {line!r}") from None
+        if rows and len(values) != len(rows[0]):
+            raise DataError(f"{path}:{lineno}: expected {len(rows[0])} columns, "
+                            f"got {len(values)}")
+        rows.append(values)
+    return np.array(rows, dtype=dtype).reshape(-1, len(rows[0]) if rows else 1)
 
 
 def _parse_edge_file(path) -> np.ndarray:
-    edges = parse_table(path, np.int64, lambda exc: _edge_line_error(path, exc), comments="#")
-    if edges.size == 0:
-        return edges.reshape(0, 2)
-    if edges.shape[1] != 2 or edges.min() < 0:
-        raise _edge_line_error(path, None)
-    return edges
+    return read_table(path, np.int64, _edge_row, comments="#",
+                      check=lambda e: e.size == 0 or (e.shape[1] == 2 and e.min() >= 0)
+                      ).reshape(-1, 2)
 
 
-def _edge_line_error(path, exc) -> DataError:
-    """The error for the first line of a rejected edge file that is not a
-    non-negative 'u v' pair; the file is only scanned line by line here."""
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                return DataError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                return DataError(f"{path}:{lineno}: non-integer vertex id in {raw.strip()!r}")
-            if u < 0 or v < 0:
-                return DataError(f"{path}:{lineno}: negative vertex id")
-    return DataError(f"{path}: {exc}")
+def _edge_row(line: str) -> tuple[int, int]:
+    parts = line.split("#", 1)[0].split()
+    if len(parts) != 2:
+        raise DataError(f"expected 'u v', got {line!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise DataError(f"non-integer vertex id in {line!r}") from None
+    if u < 0 or v < 0:
+        raise DataError("negative vertex id")
+    return u, v
 
 
 def _parse_labels_file(path) -> np.ndarray:
-    labels = parse_table(path, np.int64, lambda exc: _labels_line_error(path, exc))
-    if labels.shape[1] != 1:
-        raise _labels_line_error(path, None)
-    return labels.reshape(-1)
+    return read_table(path, np.int64, _label_row, check=lambda y: y.shape[1] == 1).reshape(-1)
 
 
-def _labels_line_error(path, exc) -> DataError:
-    """The error for the first line of a rejected labels file that is not one
-    integer; the file is only scanned line by line here."""
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                int(line)
-            except ValueError:
-                return DataError(f"{path}:{lineno}: expected an integer label, got {line!r}")
-    return DataError(f"{path}: {exc}")
+def _label_row(line: str) -> tuple[int]:
+    try:
+        return (int(line),)
+    except ValueError:
+        raise DataError(f"expected an integer label, got {line!r}") from None
 
 
 def _parse_features_file(path, n) -> np.ndarray:
-    features = parse_table(path, np.float64, lambda exc: _features_line_error(path, exc),
-                           delimiter=",")
+    features = read_table(path, np.float64, _feature_row, delimiter=",")
     if len(features) != n:
         raise DataError(f"features file has {len(features)} rows, expected {n}")
     return features
 
 
-def _features_line_error(path, exc) -> DataError:
-    """The error for the first line of a rejected features file that is not a
-    comma-separated row of reals as long as the first; the file is only scanned
-    line by line here."""
-    arity = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                return DataError(f"{path}:{lineno}: non-numeric feature value")
-            if arity is None:
-                arity = len(row)
-            elif len(row) != arity:
-                return DataError(f"{path}:{lineno}: expected {arity} columns, got {len(row)}")
-    return DataError(f"{path}: {exc}")
+def _feature_row(line: str) -> list[float]:
+    try:
+        return [float(tok) for tok in line.split(",")]
+    except ValueError:
+        raise DataError("non-numeric feature value") from None
 
 
 def bfs_distances(g: Graph, sources) -> list[DistanceRow]:

@@ -63,8 +63,11 @@ def uniform_split(g: Graph, fractions, seed: int) -> SplitSpec:
     """Seeded uniformly random partition into classifier-train / quantifier-train
     / test at the given fractions (largest-remainder rounding)."""
     fractions = np.asarray(fractions, dtype=np.float64)
-    if fractions.shape != (3,) or fractions.min() < 0 or abs(fractions.sum() - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must be three non-negatives summing to 1, got {fractions}")
+    # stated as what holds, so a NaN or an infinity fails it
+    if not (fractions.shape == (3,) and fractions.min() >= 0
+            and abs(fractions.sum() - 1.0) <= 1e-9):
+        raise ConfigError(f"fractions must be three finite non-negatives summing to 1, "
+                          f"got {fractions}")
     sizes = largest_remainder_counts(g.n, fractions)
     perm = np.random.default_rng(seed).permutation(g.n)
     c, q = sizes[0], sizes[0] + sizes[1]
@@ -103,6 +106,9 @@ def sample_pps(pool_vertices, pool_labels, num_classes: int, num_dists=None,
         raise DataError("PPS sampling needs a non-empty pool")
     if num_dists is None:
         num_dists = 10 * num_classes
+    if n < 1 or num_dists < 1:
+        raise ConfigError(f"PPS sampling needs n >= 1 and num_dists >= 1, "
+                          f"got n={n}, num_dists={num_dists}")
     base = zipf_distribution(num_classes, zipf_exponent)
     by_class = [pool_vertices[pool_labels == i] for i in range(num_classes)]
     capacity = np.asarray([len(c) for c in by_class])
@@ -147,14 +153,18 @@ def _cap_and_redistribute(counts: np.ndarray, capacity: np.ndarray,
 
 
 def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
-                          seeds_per_label: int, seed: int, num_classes, collect,
+                          seeds_per_label: int, n: int, seed: int, num_classes, collect,
                           params: dict) -> list[ShiftSample]:
     """The start-vertex loop shared by the BFS and RW samplers: per label, pick
     up to seeds_per_label start vertices of that label from the pool, and build
-    one sample from each with collect(in_pool, start, rng) -> (vertices, flagged).
+    one sample of up to n vertices from each with
+    collect(in_pool, start, rng) -> (vertices, flagged).
 
     Labels absent from the pool are skipped with a warning.
     """
+    if n < 1 or seeds_per_label < 1:
+        raise ConfigError(f"{sampler.upper()} sampling needs n >= 1 and seeds_per_label >= 1, "
+                          f"got n={n}, seeds_per_label={seeds_per_label}")
     pool_vertices = check_vertex_ids(pool_vertices, g.n, f"{sampler.upper()} sampling pool",
                                      nonempty=True)
     pool_labels, K = check_labels(g, pool_vertices, pool_labels, num_classes, what="pool")
@@ -178,7 +188,7 @@ def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
             samples.append(ShiftSample(
                 vertices=collected, true_prev=_realized_prev(label_lookup[collected], K),
                 sampler=sampler, seed=seed,
-                params={"sample": idx, "seeds_per_label": seeds_per_label, **params,
+                params={"sample": idx, "seeds_per_label": seeds_per_label, "n": n, **params,
                         "label": label},
                 start=int(start), flagged=flagged))
     return samples
@@ -195,8 +205,8 @@ def sample_bfs(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFA
     """
     def collect(in_pool, start, rng):
         return _bfs_collect(g, in_pool, start, n, rng)
-    return _start_vertex_samples("bfs", g, pool_vertices, pool_labels, seeds_per_label, seed,
-                                 num_classes, collect, {"n": n})
+    return _start_vertex_samples("bfs", g, pool_vertices, pool_labels, seeds_per_label, n, seed,
+                                 num_classes, collect, {})
 
 
 def _bfs_collect(g: Graph, in_pool: np.ndarray, start: int, n: int,
@@ -234,12 +244,13 @@ def sample_rw(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAU
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0,1], got {alpha}")
+    if walk_len < 1:
+        raise ConfigError(f"RW sampling needs walk_len >= 1, got {walk_len}")
 
     def collect(in_pool, start, rng):
         return _rw_collect(g, in_pool, start, n, walk_len, alpha, rng)
-    return _start_vertex_samples("rw", g, pool_vertices, pool_labels, seeds_per_label, seed,
-                                 num_classes, collect,
-                                 {"n": n, "walk_len": walk_len, "alpha": alpha})
+    return _start_vertex_samples("rw", g, pool_vertices, pool_labels, seeds_per_label, n, seed,
+                                 num_classes, collect, {"walk_len": walk_len, "alpha": alpha})
 
 
 def _rw_collect(g: Graph, in_pool: np.ndarray, start: int, n: int, walk_len: int,
@@ -283,6 +294,8 @@ def generate_sbm(blocks, p_in: float, p_out: float, block_labels=None, seed: int
     inter-block with p_out; vertex labels follow their block (or an explicit
     block-to-label assignment)."""
     blocks = [int(b) for b in blocks]
+    if not blocks or min(blocks) < 0:
+        raise ConfigError(f"blocks must be one or more non-negative sizes, got {blocks}")
     if not 0.0 <= p_in <= 1.0 or not 0.0 <= p_out <= 1.0:
         raise ConfigError("p_in and p_out must be in [0,1]")
     if block_labels is None:

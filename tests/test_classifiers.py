@@ -9,7 +9,8 @@ from graphquant.errors import DataError
 from graphquant.estimation import PredictionSet
 from graphquant.graph import Graph
 
-from test_graph import outcome, patch_int_parse_via_float, small_graphs
+from test_graph import (ODD_INTS, SWEEP_CHARS, outcome, patch_int_parse_via_float,
+                        small_graphs)
 
 
 def load_predictions_by_line(path, n, K):
@@ -88,10 +89,12 @@ def soft_row(draw, K):
 @st.composite
 def prediction_files(draw):
     """(lines, n, K) for a hard or soft predictions file with blank lines and
-    malformed rows mixed in; n is sometimes off by one."""
+    malformed rows mixed in, and hard rows that np.loadtxt and int() parse
+    differently; n is sometimes off by one."""
     K = draw(st.integers(2, 4))
     if draw(st.booleans()):
-        row = st.sampled_from(["0", "1", str(K - 1), str(K), "-1", " 1 ", "x", "1.0", "0,1"])
+        row = st.sampled_from(["0", "1", str(K - 1), str(K), "-1", " 1 ", "x", "1.0", "0,1"]
+                              + ODD_INTS)
     else:
         row = soft_row(K)
     rows = draw(st.lists(st.one_of(row, row, row, st.sampled_from(["", "  ", "\t"])),
@@ -304,6 +307,29 @@ class TestPredictionFiles:
         path.write_text("0\n1.5\n")
         with pytest.raises(DataError, match=r":2: expected an integer label"):
             load_predictions(path, n=2, K=2)
+
+    def test_hard_label_misread_by_loadtxt_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("0\n1\u01fe\n", encoding="utf-8")  # np.loadtxt reads 472
+        with pytest.raises(DataError, match=r":2: expected an integer label, got '1\u01fe'"):
+            load_predictions(path, n=2, K=500)
+
+    @pytest.mark.parametrize("line,K", [("{}", 500), ("0,{}", 2)], ids=["hard", "soft"])
+    def test_every_character_parsed_like_line_oracle(self, tmp_path, line, K):
+        path = tmp_path / "p.csv"
+        for c in SWEEP_CHARS:
+            for token in (c, "1" + c, c + "1", "1" + c + "1"):
+                path.write_text(line.format(token) + "\n", encoding="utf-8")
+                got = outcome(load_predictions, path, 1, K)
+                want = outcome(load_predictions_by_line, path, 1, K)
+                if isinstance(want, str):
+                    assert got == want, repr(token)
+                else:
+                    assert not isinstance(got, str), (repr(token), got)
+                    assert np.array_equal(got.hard, want.hard), repr(token)
+                    assert (got.soft is None) == (want.soft is None), repr(token)
+                    if want.soft is not None:
+                        assert np.array_equal(got.soft, want.soft), repr(token)
 
     @settings(max_examples=300, deadline=None)
     @given(case=prediction_files())

@@ -389,3 +389,46 @@ class TestExitCodes:
     def test_missing_file_is_two(self, tmp_path):
         assert run("split", "--edges", tmp_path / "nope.edges",
                    "--out", tmp_path / "s.csv") == 2
+
+    def test_label_misread_by_loadtxt_is_two(self, tmp_path):
+        edges, labels = make_graph_files(tmp_path)
+        lines = labels.read_text().split("\n")
+        lines[1] = "1\u01fe"  # np.loadtxt reads 472
+        labels.write_text("\n".join(lines), encoding="utf-8")
+        assert run("split", "--edges", edges, "--labels", labels, "--out", tmp_path / "s.csv") == 2
+
+    @pytest.mark.parametrize("command,args", [
+        ("gen-graph", ["--blocks", "10,x"]),
+        ("gen-graph", ["--blocks", "10,10", "--block-labels", "0,y"]),
+        ("gen-graph", ["--blocks", ","]),
+        ("split", ["--fractions", "0.1,abc,0.5"]),
+        ("split", ["--fractions", "nan,0.5,0.5"]),
+        ("sample-shift", ["--kind", "rw", "--walk-len", "0"]),
+        ("sample-shift", ["--kind", "bfs", "--n", "0"]),
+        ("sample-shift", ["--kind", "pps", "--num-dists", "-2"]),
+        ("experiment", {"sbm": {"blocks": [30, "x"]}}),
+        ("experiment", {"sbm": {"blocks": [-5, 30]}}),
+        ("experiment", {"shifts": [{"kind": "pps", "n": "abc"}]}),
+        ("experiment", {"shifts": [{"kind": "rw", "walk_len": 0}]}),
+    ])
+    def test_bad_numbers_are_config_errors(self, tmp_path, command, args):
+        # each used to exit 3 (internal error), hang, or exit 0 or 2 with a wrong result
+        if command == "gen-graph":
+            args = args + ["--p-in", "0.3", "--p-out", "0.05", "--out-edges", tmp_path / "e",
+                           "--out-labels", tmp_path / "y"]
+        elif command == "experiment":
+            cfg = {"dataset": {"sbm": {"blocks": [30, 30], "p_in": 0.2, "p_out": 0.02,
+                                       **args.get("sbm", {})}},
+                   "classifiers": [{"kind": "enq"}], "quantifiers": [{"base": "cc"}],
+                   "shifts": args.get("shifts", [{"kind": "pps", "n": 5}]),
+                   "output": str(tmp_path / "results.csv")}
+            (tmp_path / "config.yaml").write_text(yaml.safe_dump(cfg))
+            args = ["--config", tmp_path / "config.yaml"]
+        else:
+            edges, labels = make_graph_files(tmp_path)
+            args = args + ["--edges", edges, "--labels", labels]
+            if command == "sample-shift":
+                run("split", "--edges", edges, "--labels", labels, "--out", tmp_path / "s.csv")
+                args += ["--split", tmp_path / "s.csv", "--manifest", tmp_path / "m.csv"]
+            args += ["--out", tmp_path / "out"]
+        assert run(command, *args) == 1

@@ -54,6 +54,13 @@ class TestQuantifierSpecParsing:
         with pytest.raises(ConfigError, match="mapping"):
             parse_quantifier_spec("acc")
 
+    @pytest.mark.parametrize("kernel", [{"kind": "ppr", "walk_len": "x"},
+                                        {"kind": "sp", "gamma": [1]}])
+    def test_value_of_wrong_type_rejected(self, kernel):
+        # used to escape as ValueError or TypeError, so `quantify` exited 3
+        with pytest.raises(ConfigError, match="wrong type"):
+            parse_quantifier_spec({"base": "acc", "kernel_q": kernel})
+
     def test_experiment_config_rejects_unknown_quantifier_key(self):
         raw = {"dataset": {"sbm": {"blocks": [10, 10], "p_in": 0.3, "p_out": 0.05}},
                "classifiers": [{"kind": "enq"}],

@@ -129,11 +129,23 @@ def patch_int_parse_via_float(monkeypatch):
     monkeypatch.setattr(np, "loadtxt", via_float)
 
 
+BLANK_LINES = st.sampled_from(["", "   ", "\t", " \t "])
+# tokens that np.loadtxt parses otherwise than int() and float(): it skips
+# \x1c-\x1f as blanks and reads '1\u01fe' as 472, and int() reads '\u0661' as 1
+ODD_INTS = ["1\x1c", "1\u01fe", "\u0661"]
+NEWLINES = st.sampled_from(["\n", "\r\n"])
+# every ASCII character but the line breaks, and a few non-ASCII ones: digits,
+# blanks and a line separator
+SWEEP_CHARS = ([chr(c) for c in range(1, 128) if chr(c) not in "\n\r"]
+               + ["\u01fe", "\u0661", "\x85", "\xa0", "\u2028"])
+
+
 @st.composite
 def edge_file_lines(draw):
     """Edge-file lines mixing valid pairs with comments, blank lines, tabs,
-    negative ids, wrong column counts and non-integer tokens."""
-    token = st.sampled_from(["0", "1", "3", "17", "+2", "-1", "x", "1.5", "07"])
+    negative ids, wrong column counts, non-integer tokens and tokens that
+    np.loadtxt and int() parse differently."""
+    token = st.sampled_from(["0", "1", "3", "17", "+2", "-1", "x", "1.5", "07"] + ODD_INTS)
     sep = st.sampled_from([" ", "\t", "  ", " \t "])
     pair = st.tuples(token, sep, token).map("".join)
     line = st.one_of(
@@ -145,15 +157,13 @@ def edge_file_lines(draw):
     return draw(st.lists(line, max_size=8))
 
 
-BLANK_LINES = st.sampled_from(["", "   ", "\t", " \t "])
-NEWLINES = st.sampled_from(["\n", "\r\n"])
-
-
 @st.composite
 def labels_file_lines(draw):
     """Labels-file lines mixing integers (signed, zero-padded, padded with blanks)
-    with blank lines, comments, two labels on a line and non-integer tokens."""
-    label = st.sampled_from(["0", "1", "2", "17", "+2", "-1", "07", " 3 ", "\t1", "1\t"])
+    with blank lines, comments, two labels on a line, non-integer tokens and
+    tokens that np.loadtxt and int() parse differently."""
+    label = st.sampled_from(["0", "1", "2", "17", "+2", "-1", "07", " 3 ", "\t1", "1\t"]
+                            + ODD_INTS)
     bad = st.sampled_from(["x", "1.5", "1e3", "# c", "1 2", "0x1", "2,1"])
     return draw(st.lists(st.one_of(label, label, label, BLANK_LINES, bad), max_size=8))
 
@@ -161,11 +171,12 @@ def labels_file_lines(draw):
 @st.composite
 def features_file_lines(draw):
     """(lines, n) for a features file: rows of reals mixed with blank lines, a
-    column too many or too few, non-numeric, empty and commented tokens; n is
-    sometimes off by one."""
+    column too many or too few, non-numeric, empty and commented tokens, and
+    tokens that np.loadtxt and float() parse differently; n is sometimes off by
+    one."""
     width = draw(st.integers(1, 3))
     value = st.sampled_from(["0.5", "1", "-2.25", "1e-3", " 3.5 ", "\t7", "+4", ".5", "nan",
-                             "inf", "-inf"])
+                             "inf", "-inf"] + ODD_INTS)
     bad = st.sampled_from(["x", "", "1.5.2", "# c", "1 2"])
     token = st.one_of(value, value, value, value, bad)
     row = st.integers(width - 1, width + 1).flatmap(
@@ -354,6 +365,50 @@ class TestConstruction:
         g = load_graph(tmp_path / "e.txt", labels_path=tmp_path / "y.txt")
         assert g.n == 4
         assert g.degrees[3] == 0
+
+    def test_edge_id_misread_by_loadtxt_rejected(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("0 1\n0 1\u01fe\n", encoding="utf-8")  # np.loadtxt reads 472
+        with pytest.raises(DataError, match=r"e\.txt:2: non-integer vertex id in '0 1\u01fe'"):
+            load_graph(path)
+
+    def test_label_misread_by_loadtxt_rejected(self, tmp_path):
+        path = tmp_path / "y.txt"
+        path.write_text("0\n1\u01fe\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"y\.txt:2: expected an integer label, got '1\u01fe'"):
+            _parse_labels_file(path)
+
+    def test_ids_and_features_read_as_int_and_float_do(self, tmp_path):
+        (tmp_path / "e.txt").write_text("0 \u0661\n", encoding="utf-8")
+        (tmp_path / "x.txt").write_text("0.5,\u0661\n0.5,2\n", encoding="utf-8")
+        edges = _parse_edge_file(tmp_path / "e.txt")
+        assert edges.dtype == np.int64 and edges.tolist() == [[0, 1]]
+        assert _parse_features_file(tmp_path / "x.txt", 2).tolist() == [[0.5, 1.0], [0.5, 2.0]]
+
+    def test_value_past_int64_rejected_naming_line(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("0 1\n1 99999999999999999999\n")
+        with pytest.raises(DataError, match=r"e\.txt:2: value out of range"):
+            _parse_edge_file(path)
+
+    @pytest.mark.parametrize("parse,oracle,line", [
+        (_parse_edge_file, parse_edges_by_line, "0 {}"),
+        (_parse_labels_file, parse_labels_by_line, "{}"),
+        (lambda path: _parse_features_file(path, 1), lambda path: parse_features_by_line(path, 1),
+         "0.5,{}"),
+    ], ids=["edges", "labels", "features"])
+    def test_every_character_parsed_like_line_oracle(self, tmp_path, parse, oracle, line):
+        path = tmp_path / "f.txt"
+        for c in SWEEP_CHARS:
+            for token in (c, "1" + c, c + "1", "1" + c + "1"):
+                path.write_text(line.format(token) + "\n", encoding="utf-8")
+                got, want = outcome(parse, path), outcome(oracle, path)
+                if isinstance(want, str):
+                    assert got == want, repr(token)
+                else:
+                    assert isinstance(got, np.ndarray), (repr(token), got)
+                    assert got.dtype == want.dtype and got.size == want.size, repr(token)
+                    assert np.array_equal(got.ravel(), want.ravel(), equal_nan=True), repr(token)
 
 
 class TestCheckVertexIds:

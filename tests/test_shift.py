@@ -109,6 +109,14 @@ class TestUniformSplit:
         with pytest.raises(ConfigError):
             uniform_split(g, (0.5, 0.5, 0.5), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(np.nan, 0.5, 0.5), (0.5, np.nan, np.nan),
+                                           (np.inf, 0.5, 0.5), (0.5, 0.5, -np.inf)])
+    def test_non_finite_fractions_rejected(self, fractions):
+        # every comparison with NaN is False, so a check for what is wrong let these through
+        g = Graph.from_edges(20, [])
+        with pytest.raises(ConfigError, match="finite"):
+            uniform_split(g, fractions, seed=0)
+
 
 def labeled_pool(sizes, seed=0):
     labels = np.concatenate([np.full(s, i) for i, s in enumerate(sizes)])
@@ -354,7 +362,37 @@ class TestPoolLabels:
                          g, np.array([0, 1, 25, 30]), np.array(labels), seed=0, num_classes=2)
 
 
+class TestSamplerParameters:
+    """Sizes below one are configuration errors, raised before any drawing: a
+    walk length of 0 used to loop forever (the step budget never advanced), and
+    other sizes failed inside numpy or gave empty or misleading results."""
+
+    @pytest.mark.parametrize("walk_len", [0, -1])
+    def test_rw_walk_len_below_one_rejected(self, walk_len):
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=1)
+        with pytest.raises(ConfigError, match="walk_len >= 1"):
+            sample_rw(g, np.arange(40), g.labels, seeds_per_label=1, n=3, walk_len=walk_len)
+
+    @pytest.mark.parametrize("sampler", [sample_bfs, sample_rw])
+    @pytest.mark.parametrize("n,seeds_per_label", [(0, 1), (-1, 1), (3, 0), (3, -2)])
+    def test_start_vertex_sizes_below_one_rejected(self, sampler, n, seeds_per_label):
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=1)
+        with pytest.raises(ConfigError, match="n >= 1 and seeds_per_label >= 1"):
+            sampler(g, np.arange(40), g.labels, seeds_per_label=seeds_per_label, n=n)
+
+    @pytest.mark.parametrize("n,num_dists", [(0, 2), (-1, 2), (3, 0), (3, -2)])
+    def test_pps_sizes_below_one_rejected(self, n, num_dists):
+        vertices, labels = labeled_pool([10, 10])
+        with pytest.raises(ConfigError, match="n >= 1 and num_dists >= 1"):
+            sample_pps(vertices, labels, 2, num_dists=num_dists, n=n)
+
+
 class TestSbm:
+    @pytest.mark.parametrize("blocks", [[], [-5, 30]])
+    def test_empty_or_negative_blocks_rejected(self, blocks):
+        with pytest.raises(ConfigError, match="non-negative sizes"):
+            generate_sbm(blocks, 0.3, 0.05, seed=1)
+
     def test_disjoint_triangles(self):
         g = generate_sbm([3, 3], 1.0, 0.0, seed=0)
         assert g.num_edges == 6
