@@ -8,8 +8,7 @@ harness to evaluate them.
 
 from .errors import ConfigError, DataError, GraphQuantError
 from .estimation import PredictionSet
-from .graph import DistanceRow, Graph, UNREACHABLE, bfs_distances, connected_components, \
-    load_graph, save_graph
+from .graph import Graph, bfs_distances, connected_components, load_graph, save_graph
 from .kernels import KernelSpec, make_evaluator, ppr_matrix_dense, ppr_matrix_sparse_pruned
 from .quantifiers import PrevalenceVector, QuantifierSpec, quantify, quantify_batch
 from .solver import SimplexLsqResult, solve_simplex_lsq
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "GraphQuantError",
-    "Graph", "DistanceRow", "UNREACHABLE",
+    "Graph",
     "load_graph", "save_graph", "bfs_distances", "connected_components",
     "KernelSpec", "make_evaluator",
     "ppr_matrix_dense", "ppr_matrix_sparse_pruned",

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimation import PredictionSet
-from .graph import Graph, check_vertex_ids, read_table
+from .graph import Graph, check_vertex_ids, read_table, read_text
 
 DEFAULT_LP_ITERATIONS = 50
 DEFAULT_LP_DAMPING = 0.85
@@ -122,7 +122,7 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
     Soft rows whose sum is off by at most 1e-6 are renormalized; anything
     further from the simplex is rejected.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     # the first non-blank line tells hard labels from probability rows
     hard = "," not in text.lstrip().partition("\n")[0]
     rule = _hard_row if hard else _soft_row

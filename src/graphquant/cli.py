@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -21,9 +22,9 @@ from . import config as config_mod
 from . import harness
 from .classifiers import enq_predict, label_prop_predict, save_predictions, load_predictions
 from .config import (DEFAULT_FRACTIONS, DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS,
-                     load_config, load_yaml, parse_quantifier_spec)
+                     check_seed, load_config, load_yaml, parse_quantifier_spec)
 from .errors import ConfigError, DataError
-from .graph import Graph, check_vertex_ids, guarded_loadtxt, load_graph, save_graph
+from .graph import Graph, check_vertex_ids, guarded_loadtxt, load_graph, read_text, save_graph
 from .quantifiers import quantify
 from .shift import (DEFAULT_RW_ALPHA, DEFAULT_RW_WALK_LEN, DEFAULT_SAMPLE_SIZE,
                     DEFAULT_SEEDS_PER_LABEL, DEFAULT_ZIPF_EXPONENT, SplitSpec,
@@ -65,13 +66,13 @@ _SPLIT_ROW = np.dtype([("vertex", np.int64), ("role", f"U{max(map(len, SPLIT_ROL
 def load_split(path, n: int) -> SplitSpec:
     """Read a split file; every row is 'vertex,role', ids must lie in 0..n-1 and
     each vertex may appear in at most one role, once."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = text.split("\n")
     if next(csv.reader(lines[:1]), None) != ["vertex", "role"]:
         raise DataError(f"{path}: expected header 'vertex,role'")
     by_role = _split_by_loadtxt(text, lines)
     if by_role is None:
-        by_role = _split_by_row(path)
+        by_role = _split_by_row(path, text)
     parts = [np.sort(check_vertex_ids(ids, n, f"{path}: {role}"))
              for role, ids in zip(SPLIT_ROLES, by_role)]
     every = np.sort(np.concatenate(parts))
@@ -94,24 +95,24 @@ def _split_by_loadtxt(text: str, lines: list[str]) -> list[np.ndarray] | None:
     return [rows["vertex"][mask] for mask in is_role]
 
 
-def _split_by_row(path) -> list[list[str]]:
-    """The vertex-id strings of each role, read row by row with the csv module;
-    raises DataError naming the first row that is not a 'vertex,role' pair with a
-    known role. The slow path, taken only where the one-call parse rejects a row
-    or might read an id differently from int()."""
+def _split_by_row(path, text: str) -> list[list[str]]:
+    """The vertex-id strings of each role, read from the file's contents `text`
+    row by row with the csv module; raises DataError naming the first row that
+    is not a 'vertex,role' pair with a known role. The slow path, taken only
+    where the one-call parse rejects a row or might read an id differently from
+    int()."""
     by_role = {role: [] for role in SPLIT_ROLES}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{reader.line_num}: expected 'vertex,role', "
-                                f"got {len(row)} fields")
-            if row[1] not in by_role:
-                raise DataError(f"{path}: unknown split role {row[1]!r}")
-            by_role[row[1]].append(row[0])
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DataError(f"{path}:{reader.line_num}: expected 'vertex,role', "
+                            f"got {len(row)} fields")
+        if row[1] not in by_role:
+            raise DataError(f"{path}: unknown split role {row[1]!r}")
+        by_role[row[1]].append(row[0])
     return list(by_role.values())
 
 
@@ -119,15 +120,16 @@ def cmd_gen_graph(args) -> int:
     g = generate_sbm(_numbers(args.blocks, int, "--blocks"), args.p_in, args.p_out,
                      block_labels=(_numbers(args.block_labels, int, "--block-labels")
                                    if args.block_labels else None),
-                     seed=args.seed)
+                     seed=check_seed(args.seed, "--seed"))
     save_graph(g, args.out_edges, labels_path=args.out_labels)
     print(f"wrote {g.n} vertices, {g.num_edges} edges")
     return 0
 
 
 def cmd_split(args) -> int:
+    seed = check_seed(args.seed, "--seed")
     g = _load_graph_args(args)
-    split = uniform_split(g, _numbers(args.fractions, float, "--fractions"), seed=args.seed)
+    split = uniform_split(g, _numbers(args.fractions, float, "--fractions"), seed=seed)
     save_split(split, args.out)
     sizes = [len(split.classifier_train), len(split.quantifier_train), len(split.test)]
     print(f"split sizes: {sizes}")
@@ -135,6 +137,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_sample_shift(args) -> int:
+    seed = check_seed(args.seed, "--seed")
     g = _load_graph_args(args)
     if g.labels is None:
         raise DataError("shift sampling needs a labels file")
@@ -145,7 +148,7 @@ def cmd_sample_shift(args) -> int:
         num_dists=args.num_dists, zipf_exponent=args.zipf_exponent,
         seeds_per_label=args.seeds_per_label, walk_len=args.walk_len, alpha=args.alpha)
     samples = harness.draw_samples(shift_cfg, g, pool, g.labels[pool],
-                                   seed=args.seed, num_classes=g.num_classes)
+                                   seed=seed, num_classes=g.num_classes)
     save_samples(samples, args.out)
     write_manifest(samples, args.manifest, args.out)
     print(f"wrote {len(samples)} samples")
@@ -183,7 +186,7 @@ def cmd_quantify(args) -> int:
                             f"({len(sections)} samples in {args.test})")
         test_vertices = sections[args.sample_index][1]
     else:
-        test_vertices = check_vertex_ids(Path(args.test).read_text(encoding="utf-8").split(),
+        test_vertices = check_vertex_ids(read_text(args.test).split(),
                                          g.n, args.test, nonempty=True)
     est = quantify(spec, g, train, g.labels[train], test_vertices, preds)
     payload = {"quantifier": spec.name, "K": est.K,

@@ -154,7 +154,17 @@ def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
     return ExperimentConfig(
         dataset=dataset, classifiers=classifiers, quantifiers=quantifiers, shifts=shifts,
         fractions=fractions, repetitions=int(raw.get("repetitions", 1)),
-        seed=int(raw.get("seed", 0)), output=resolve(raw.get("output", "results.csv")))
+        seed=check_seed(raw.get("seed", 0), "seed"),
+        output=resolve(raw.get("output", "results.csv")))
+
+
+def check_seed(seed, what: str) -> int:
+    """`seed` as an int; ConfigError naming `what` if it is negative, which no
+    numpy random generator takes."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _require(raw: dict, key: str):
@@ -181,7 +191,7 @@ def _parse_dataset(raw: dict, resolve) -> DatasetConfig:
             sbm = SbmParams(blocks=tuple(int(b) for b in s["blocks"]),
                             p_in=float(s["p_in"]), p_out=float(s["p_out"]),
                             block_labels=tuple(s["block_labels"]) if s.get("block_labels") else None,
-                            seed=int(s.get("seed", 0)))
+                            seed=check_seed(s.get("seed", 0), "sbm seed"))
         except KeyError as exc:
             raise ConfigError(f"sbm config is missing {exc}")
     edges = resolve(raw.get("edges"))

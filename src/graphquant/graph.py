@@ -17,9 +17,6 @@ import scipy.sparse as sp
 
 from .errors import DataError
 
-# Hop count marking a vertex that cannot be reached from the BFS source.
-UNREACHABLE = np.iinfo(np.int32).max
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -92,13 +89,6 @@ class Graph:
     def adjacency_csr(self) -> sp.csr_matrix:
         data = np.ones(len(self.indices), dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
-
-@dataclass(frozen=True)
-class DistanceRow:
-    """Hop distances from one source vertex; UNREACHABLE marks no path."""
-    source: int
-    dist: np.ndarray  # int32, shape (n,)
 
 
 def check_vertex_ids(ids, n: int, what: str, nonempty: bool = False) -> np.ndarray:
@@ -191,6 +181,16 @@ def save_graph(g: Graph, edge_path, labels_path=None, features_path=None) -> Non
         Path(features_path).write_text("".join(r + "\n" for r in rows))
 
 
+def read_text(path) -> str:
+    """The contents of a data file as text, newlines as in open(); DataError
+    naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                        f"at offset {exc.start})") from None
+
+
 def guarded_loadtxt(data: str | bytes, source, dtype, **kwargs) -> np.ndarray | None:
     """`source` -- a file with contents `data` (text or bytes), or its lines --
     parsed by one np.loadtxt call; None where np.loadtxt rejects it or might read
@@ -228,7 +228,7 @@ def read_table(path, dtype, row, check=None, delimiter=None, comments=None,
     """
     source = path  # np.loadtxt reads a path faster than a list of lines
     if delimiter is not None:
-        text = Path(path).read_text(encoding="utf-8") if text is None else text
+        text = read_text(path) if text is None else text
         source = text.split("\n")
         # np.loadtxt skips empty lines, but lines of blanks only without a delimiter
         if any(map(str.isspace, source)):
@@ -239,7 +239,7 @@ def read_table(path, dtype, row, check=None, delimiter=None, comments=None,
     if table is not None and (check is None or check(table)):
         return table
     if text is None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -302,35 +302,60 @@ def _feature_row(line: str) -> list[float]:
         raise DataError("non-numeric feature value") from None
 
 
-def bfs_distances(g: Graph, sources) -> list[DistanceRow]:
-    """Exact unweighted hop distances from each source (one row per source).
+def bfs_distances(g: Graph, sources) -> np.ndarray:
+    """Exact unweighted hop distances, one row per source: an |sources| x n
+    array of unsigned integers whose largest value marks no path. It is uint8
+    (255: no path) and widens to the next unsigned type only if a level
+    reaches that value.
 
-    One level-synchronous BFS from all sources at once, in the linear-algebra
-    form of Kepner & Gilbert (2011): column j of the n x |sources| float32
-    frontier block marks the vertices at source j's current level, and one
-    sparse x dense product A @ F finds every vertex adjacent to them. Vertices
-    reached for the first time get the level in the int32 hop block and form
-    the next frontier. No n x n array is formed.
+    One level-synchronous BFS from all sources at once, bit-parallel as in
+    MS-BFS (Then et al. 2015): bit j of a vertex's word w stands for source
+    64w + j, so a word holds 64 searches. The frontier and the seen-set are
+    word columns over the vertices; one level ORs each vertex's neighbor words
+    (the boolean form of the sparse product A @ F of Kepner & Gilbert 2011)
+    and keeps the bits not yet seen. No n x n array is formed.
     """
     sources = check_vertex_ids(list(sources), g.n, "BFS sources")
+    num_words = -(-len(sources) // 64)
     cols = np.arange(len(sources))
-    hops = np.full((len(sources), g.n), UNREACHABLE, dtype=np.int32)
-    hops_t = hops.T  # n x |sources| view, so each source's row stays contiguous
-    hops_t[sources, cols] = 0
-    adj = sp.csr_matrix((np.ones(len(g.indices), dtype=np.float32), g.indices, g.indptr),
-                        shape=(g.n, g.n))
-    frontier = np.zeros((g.n, len(sources)), dtype=np.float32)
-    frontier[sources, cols] = 1.0
+    hops = np.full((len(sources), g.n), np.iinfo(np.uint8).max, dtype=np.uint8)
+    hops[cols, sources] = 0
+    # word w of vertex v is frontier[w, v]; duplicate sources set several bits
+    frontier = np.zeros((num_words, g.n), dtype=np.uint64)
+    np.bitwise_or.at(frontier, (cols // 64, sources),
+                     np.left_shift(np.uint64(1), (cols % 64).astype(np.uint64)))
+    seen = frontier.copy()
+    # reduceat needs non-empty segments: only vertices with neighbors get words
+    linked = np.flatnonzero(g.degrees)
+    starts = g.indptr[linked]
     level = 0
-    while True:
+    while frontier.any():
         level += 1
-        reached = (adj @ frontier) > 0
-        reached &= hops_t == UNREACHABLE
-        if not reached.any():
-            break
-        hops_t[reached] = level
-        np.copyto(frontier, reached)
-    return [DistanceRow(source=int(s), dist=row) for s, row in zip(sources, hops)]
+        for w in np.flatnonzero(frontier.any(axis=1)):
+            reached = np.zeros(g.n, dtype=np.uint64)
+            reached[linked] = np.bitwise_or.reduceat(frontier[w][g.indices], starts)
+            reached &= ~seen[w]
+            seen[w] |= reached
+            frontier[w] = reached
+            if not reached.any():
+                continue
+            if level == np.iinfo(hops.dtype).max:
+                hops = _widen(hops)
+            # bit b of vertex v's word as entry (b, v), 0 or 1; a new bit's entry
+            # holds the no-path value, so subtracting takes it to the level
+            # without a branch per entry. Bits past the last source are never set.
+            rows = hops[64 * w:64 * (w + 1)]
+            bits = np.unpackbits(reached.astype("<u8", copy=False).view(np.uint8).reshape(g.n, 8),
+                                 axis=1, bitorder="little")[:, :len(rows)].T
+            rows -= np.multiply(bits, np.iinfo(hops.dtype).max - level, dtype=hops.dtype)
+    return hops
+
+
+def _widen(hops: np.ndarray) -> np.ndarray:
+    """`hops` in the next wider unsigned type, no-path entries moved to its maximum."""
+    wide = hops.astype(f"uint{16 * hops.itemsize}")
+    wide[hops == np.iinfo(hops.dtype).max] = np.iinfo(wide.dtype).max
+    return wide
 
 
 def connected_components(g: Graph) -> np.ndarray:

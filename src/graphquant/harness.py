@@ -8,6 +8,7 @@ seeded from the base seed, so reruns of the same config are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from .classifiers import enq_predict, label_prop_predict, load_predictions
 from .config import (ENQ, EXTERNAL, LABEL_PROP, ClassifierConfig, ExperimentConfig)
 from .errors import ConfigError, DataError, GraphQuantError
-from .graph import Graph, check_vertex_ids, load_graph
+from .graph import Graph, check_vertex_ids, load_graph, read_text
 from .quantifiers import quantify_batch
 from .shift import (ShiftSample, generate_sbm, sample_bfs, sample_pps, sample_rw,
                     uniform_split)
@@ -295,18 +296,17 @@ def write_results_csv(rows: list[ResultRow], path) -> None:
 
 def read_results_csv(path) -> list[ResultRow]:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != RESULT_FIELDS:
-            raise DataError(f"{path}: unexpected results header {reader.fieldnames}")
-        for rec in reader:
-            rows.append(ResultRow(
-                dataset=rec["dataset"], shift=rec["shift"], classifier=rec["classifier"],
-                quantifier=rec["quantifier"], repetition=int(rec["repetition"]),
-                sample_id=int(rec["sample_id"]), sample_size=int(rec["sample_size"]),
-                ae=float(rec["ae"]) if rec["ae"] else None,
-                rae=float(rec["rae"]) if rec["rae"] else None,
-                flags=tuple(rec["flags"].split(";")) if rec["flags"] else ()))
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    if reader.fieldnames != RESULT_FIELDS:
+        raise DataError(f"{path}: unexpected results header {reader.fieldnames}")
+    for rec in reader:
+        rows.append(ResultRow(
+            dataset=rec["dataset"], shift=rec["shift"], classifier=rec["classifier"],
+            quantifier=rec["quantifier"], repetition=int(rec["repetition"]),
+            sample_id=int(rec["sample_id"]), sample_size=int(rec["sample_size"]),
+            ae=float(rec["ae"]) if rec["ae"] else None,
+            rae=float(rec["rae"]) if rec["rae"] else None,
+            flags=tuple(rec["flags"].split(";")) if rec["flags"] else ()))
     return rows
 
 

@@ -13,12 +13,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .graph import Graph, UNREACHABLE, bfs_distances, check_vertex_ids
+from .graph import Graph, bfs_distances, check_vertex_ids
 
 DEFAULT_ALPHA = 0.1       # teleport probability per walk step
 DEFAULT_WALK_LEN = 10     # number of walk steps (matrix power)
 DEFAULT_INTERP = 0.9      # weight of the PPR term in the interpolated kernel
 DEFAULT_GAMMA = 3.0       # decay rate of the shortest-path kernel
+
+# float64 bytes of the row chunk in which the shortest-path kernel's values are
+# made from the hop block
+SP_CHUNK_BYTES = 2 ** 20
 
 CONSTANT = "constant"
 PPR = "ppr"
@@ -156,21 +160,32 @@ def make_evaluator(spec: KernelSpec, g: Graph, rows):
             return lam * x[rows] + (1.0 - lam)
         return ppr_map
     if spec.kind == SHORTEST_PATH:
-        block = _shortest_path_block(g, rows, spec.gamma)
-    elif g.features is None:
+        return _shortest_path_map(g, rows, spec.gamma)
+    if g.features is None:
         raise ConfigError("feature kernel requires vertex features")
-    else:
-        block = np.maximum(g.features[rows] @ g.features.T, 0.0)
+    block = np.maximum(g.features[rows] @ g.features.T, 0.0)
     return lambda dists: block @ dists
 
 
-def _shortest_path_block(g: Graph, rows: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * hops) from each row vertex to every vertex, 0 where unreachable;
-    the int32 hop matrix is freed on return."""
-    if len(rows) == 0:
-        return np.empty((0, g.n))
-    hops = np.stack([row.dist for row in bfs_distances(g, rows)])
-    block = -gamma * hops
-    np.exp(block, out=block)
-    block[hops == UNREACHABLE] = 0.0
-    return block
+def _shortest_path_map(g: Graph, rows: np.ndarray, gamma: float):
+    """D -> exp(-gamma * hops[rows, :]) @ D, 0 for no path. Only the hop block
+    is kept, one small integer per pair; the kernel values are made for a chunk
+    of rows at a time, so no float64 |rows| x n block is formed."""
+    hops = bfs_distances(g, rows)  # looked up on this module, so tracing sees the call
+    no_path = np.iinfo(hops.dtype).max
+    step = max(1, min(len(rows), SP_CHUNK_BYTES // max(8 * g.n, 1)))
+
+    def sp_map(dists):
+        # one buffer for all chunks: an array this large made fresh per chunk
+        # costs a page fault per 4 KiB page
+        values = np.empty((step, g.n))
+        out = np.empty((len(rows), dists.shape[1]))
+        for r in range(0, len(rows), step):
+            chunk = hops[r:r + step]
+            kernel = values[:len(chunk)]
+            np.multiply(chunk, -gamma, out=kernel)
+            np.exp(kernel, out=kernel)
+            kernel[chunk == no_path] = 0.0
+            out[r:r + len(chunk)] = kernel @ dists
+        return out
+    return sp_map

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifiers import check_label_array, check_labels
 from .errors import ConfigError, DataError
-from .graph import Graph, check_vertex_ids
+from .graph import Graph, check_vertex_ids, read_text
 
 DEFAULT_SAMPLE_SIZE = 100
 DEFAULT_SEEDS_PER_LABEL = 10
@@ -25,6 +25,7 @@ DEFAULT_ZIPF_EXPONENT = 1.0
 DEFAULT_RW_WALK_LEN = 10
 DEFAULT_RW_ALPHA = 0.1
 RW_STEP_BUDGET_FACTOR = 1000  # steps allowed per requested sample vertex
+SBM_CHUNK_ROWS = 64           # rows of a block pair drawn at once by generate_sbm
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,16 @@ def _realized_prev(labels_of_sample: np.ndarray, num_classes: int) -> np.ndarray
 
 
 def zipf_distribution(num_classes: int, exponent: float) -> np.ndarray:
-    """Zipf mass function over ranks 1..K: q_i proportional to i^-exponent."""
+    """Zipf mass function over ranks 1..K: q_i proportional to i^-exponent.
+    An exponent of +inf puts all mass on rank 1; NaN and -inf are rejected."""
+    # stated as what holds, so a NaN fails it
+    if not exponent > -np.inf:
+        raise ConfigError(f"zipf exponent must be a number above -inf, got {exponent}")
     ranks = np.arange(1, num_classes + 1, dtype=np.float64)
-    weights = ranks ** (-exponent)
+    with np.errstate(over="ignore"):
+        weights = ranks ** (-exponent)
+    if np.isinf(weights).any():  # a large negative exponent: ranks scaled to at most 1
+        weights = (ranks / num_classes) ** (-exponent)
     return weights / weights.sum()
 
 
@@ -313,13 +321,16 @@ def generate_sbm(blocks, p_in: float, p_out: float, block_labels=None, seed: int
             p = p_in if i == j else p_out
             if p == 0.0 or blocks[i] == 0 or blocks[j] == 0:
                 continue
-            if i == j:
-                mask = np.triu(rng.random((blocks[i], blocks[i])) < p, k=1)
-            else:
-                mask = rng.random((blocks[i], blocks[j])) < p
-            us, vs = np.nonzero(mask)
-            if len(us):
-                edge_chunks.append(np.column_stack([us + offsets[i], vs + offsets[j]]))
+            # the b_i x b_j draw in chunks of SBM_CHUNK_ROWS rows: the same random
+            # stream, without a dense float64 array per block pair
+            for r0 in range(0, blocks[i], SBM_CHUNK_ROWS):
+                mask = rng.random((min(SBM_CHUNK_ROWS, blocks[i] - r0), blocks[j])) < p
+                if i == j:  # the upper triangle of the whole block, k=1
+                    mask = np.triu(mask, k=1 + r0)
+                us, vs = np.nonzero(mask)
+                if len(us):
+                    edge_chunks.append(np.column_stack([us + offsets[i] + r0,
+                                                        vs + offsets[j]]))
     edges = np.concatenate(edge_chunks) if edge_chunks else np.empty((0, 2), dtype=np.int64)
     return Graph.from_edges(n, edges, labels=labels)
 
@@ -354,7 +365,8 @@ def load_sample_sections(path, n: int) -> list[tuple[dict, np.ndarray]]:
     """Parse a samples file back into (header fields, vertex ids) sections;
     ids must lie in 0..n-1. The ids of every section are views into one array."""
     # [text before the first header, header 1, its id lines, header 2, ...]
-    parts = _HEADER_LINE.split(Path(path).read_text(encoding="utf-8"))
+    text = read_text(path)
+    parts = _HEADER_LINE.split(text)
     try:
         if parts[0].strip():
             raise ValueError("vertex id before any sample header")
@@ -364,7 +376,7 @@ def load_sample_sections(path, n: int) -> list[tuple[dict, np.ndarray]]:
         # np.array parses each non-blank line as int() does
         ids = np.array([line for body in bodies for line in body], dtype=np.int64)
     except (ValueError, OverflowError) as exc:
-        raise _sample_line_error(path, exc) from None
+        raise _sample_line_error(path, text, exc) from None
     sections = np.split(ids, np.cumsum([len(body) for body in bodies])[:-1])
     try:
         check_vertex_ids(ids, n, f"{path}: samples")
@@ -375,27 +387,26 @@ def load_sample_sections(path, n: int) -> list[tuple[dict, np.ndarray]]:
     return list(zip(headers, sections))
 
 
-def _sample_line_error(path, exc) -> DataError:
-    """The error for the first line of a rejected samples file that is neither
-    a 'key=value,...' header nor one vertex id after a header; the file is only
-    scanned line by line here."""
+def _sample_line_error(path, text: str, exc) -> DataError:
+    """The error for the first line of a rejected samples file with contents
+    `text` that is neither a 'key=value,...' header nor one vertex id after a
+    header; the file is only scanned line by line here."""
     seen_header = False
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if "=" in line:
-                seen_header = True
-                if not all("=" in tok for tok in line.split(",")):
-                    return DataError(f"{path}:{lineno}: expected 'key=value,...', got {line!r}")
-            elif not seen_header:
-                return DataError(f"{path}:{lineno}: vertex id before any sample header")
-            else:
-                try:
-                    int(line)
-                except ValueError:
-                    return DataError(f"{path}:{lineno}: expected a vertex id, got {line!r}")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if "=" in line:
+            seen_header = True
+            if not all("=" in tok for tok in line.split(",")):
+                return DataError(f"{path}:{lineno}: expected 'key=value,...', got {line!r}")
+        elif not seen_header:
+            return DataError(f"{path}:{lineno}: vertex id before any sample header")
+        else:
+            try:
+                int(line)
+            except ValueError:
+                return DataError(f"{path}:{lineno}: expected a vertex id, got {line!r}")
     return DataError(f"{path}: {exc}")
 
 

@@ -410,9 +410,19 @@ class TestExitCodes:
         ("experiment", {"sbm": {"blocks": [-5, 30]}}),
         ("experiment", {"shifts": [{"kind": "pps", "n": "abc"}]}),
         ("experiment", {"shifts": [{"kind": "rw", "walk_len": 0}]}),
+        ("gen-graph", ["--blocks", "10,10", "--seed", "-1"]),
+        ("split", ["--seed", "-1"]),
+        ("sample-shift", ["--kind", "pps", "--seed", "-1"]),
+        ("experiment", {"seed": -1}),
+        ("experiment", {"sbm": {"seed": -1}}),
+        ("sample-shift", ["--kind", "pps", "--zipf-exponent", "nan"]),
+        ("sample-shift", ["--kind", "pps", "--zipf-exponent=-inf"]),
+        ("experiment", {"shifts": [{"kind": "pps", "n": 5, "zipf_exponent": float("nan")}]}),
+        ("experiment", {"shifts": [{"kind": "pps", "n": 5, "zipf_exponent": -float("inf")}]}),
     ])
     def test_bad_numbers_are_config_errors(self, tmp_path, command, args):
-        # each used to exit 3 (internal error), hang, or exit 0 or 2 with a wrong result
+        # each used to exit 3 (internal error), hang, or exit 0 or 2 with a wrong result;
+        # a negative seed and a NaN or -inf Zipf exponent exited 3
         if command == "gen-graph":
             args = args + ["--p-in", "0.3", "--p-out", "0.05", "--out-edges", tmp_path / "e",
                            "--out-labels", tmp_path / "y"]
@@ -421,7 +431,7 @@ class TestExitCodes:
                                        **args.get("sbm", {})}},
                    "classifiers": [{"kind": "enq"}], "quantifiers": [{"base": "cc"}],
                    "shifts": args.get("shifts", [{"kind": "pps", "n": 5}]),
-                   "output": str(tmp_path / "results.csv")}
+                   "output": str(tmp_path / "results.csv"), "seed": args.get("seed", 0)}
             (tmp_path / "config.yaml").write_text(yaml.safe_dump(cfg))
             args = ["--config", tmp_path / "config.yaml"]
         else:
@@ -432,3 +442,38 @@ class TestExitCodes:
                 args += ["--split", tmp_path / "s.csv", "--manifest", tmp_path / "m.csv"]
             args += ["--out", tmp_path / "out"]
         assert run(command, *args) == 1
+
+    @pytest.mark.parametrize("kind", ["edges", "labels", "features", "split", "preds",
+                                      "samples", "test ids", "results"])
+    def test_file_that_is_not_utf8_is_two(self, tmp_path, kind, capsys):
+        # each used to exit 3 with "internal error: UnicodeDecodeError"
+        edges, labels = make_graph_files(tmp_path)
+        split, preds = tmp_path / "s.csv", tmp_path / "p.csv"
+        samples, ids = tmp_path / "samples.txt", tmp_path / "ids.txt"
+        results = tmp_path / "results.csv"
+        features = tmp_path / "g.features"
+        features.write_text("0.5\n" * 120)
+        assert run("split", "--edges", edges, "--labels", labels, "--out", split) == 0
+        assert run("classify", "--edges", edges, "--labels", labels, "--split", split,
+                   "--out", preds) == 0
+        assert run("sample-shift", "--edges", edges, "--labels", labels, "--split", split,
+                   "--kind", "pps", "--n", 10, "--num-dists", 1, "--out", samples,
+                   "--manifest", tmp_path / "m.csv") == 0
+        ids.write_text("0\n1\n")
+        results.write_text(",".join(harness.RESULT_FIELDS) + "\n")
+        bad = {"edges": edges, "labels": labels, "features": features, "split": split,
+               "preds": preds, "samples": samples, "test ids": ids, "results": results}[kind]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        graph = ["--edges", edges, "--labels", labels]
+        quantify = ["quantify", *graph, "--split", split, "--preds", preds]
+        argv = {"edges": ["split", *graph, "--out", tmp_path / "s2.csv"],
+                "labels": ["split", *graph, "--out", tmp_path / "s2.csv"],
+                "features": ["split", *graph, "--features", features, "--out", tmp_path / "s2.csv"],
+                "split": ["classify", *graph, "--split", split, "--out", tmp_path / "p2.csv"],
+                "preds": quantify + ["--test", ids],
+                "samples": quantify + ["--test", samples, "--sample-index", 0],
+                "test ids": quantify + ["--test", ids],
+                "results": ["aggregate", "--results", results, "--out", tmp_path / "sum.csv"]}
+        capsys.readouterr()
+        assert run(*argv[kind]) == 2
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err

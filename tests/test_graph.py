@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphquant.errors import DataError
-from graphquant.graph import (Graph, UNREACHABLE, _parse_edge_file, _parse_features_file,
+from graphquant.graph import (Graph, _parse_edge_file, _parse_features_file,
                               _parse_labels_file, bfs_distances, check_vertex_ids,
                               connected_components, load_graph, save_graph)
 
@@ -193,8 +193,9 @@ def write_lines(tmp_path_factory, name, lines, newline):
 
 
 def frontier_bfs(g, s):
-    """Level-synchronous Python BFS: the oracle for bfs_distances."""
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int32)
+    """Level-synchronous Python BFS: the oracle for bfs_distances. Hop counts as
+    floats, inf where there is no path."""
+    dist = np.full(g.n, np.inf)
     dist[s] = 0
     frontier = [s]
     d = 0
@@ -203,11 +204,16 @@ def frontier_bfs(g, s):
         nxt = []
         for v in frontier:
             for w in g.neighbors(v):
-                if dist[w] == UNREACHABLE:
+                if dist[w] == np.inf:
                     dist[w] = d
                     nxt.append(int(w))
         frontier = nxt
     return dist
+
+
+def as_distances(hops):
+    """A bfs_distances hop block as floats, inf where it marks no path."""
+    return np.where(hops == np.iinfo(hops.dtype).max, np.inf, hops.astype(np.float64))
 
 
 def smallest_vertex_first_components(g):
@@ -216,7 +222,7 @@ def smallest_vertex_first_components(g):
     next_id = 0
     for v in range(g.n):
         if comp[v] == -1:
-            comp[frontier_bfs(g, v) != UNREACHABLE] = next_id
+            comp[np.isfinite(frontier_bfs(g, v))] = next_id
             next_id += 1
     return comp
 
@@ -431,14 +437,11 @@ class TestCheckVertexIds:
 class TestBfs:
     def test_path_graph(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        (row,) = bfs_distances(g, [0])
-        assert list(row.dist) == [0, 1, 2]
+        assert bfs_distances(g, [0]).tolist() == [[0, 1, 2]]
 
     def test_unreachable_sentinel(self):
         g = Graph.from_edges(2, [])
-        (row,) = bfs_distances(g, [0])
-        assert row.dist[0] == 0
-        assert row.dist[1] == UNREACHABLE
+        assert bfs_distances(g, [0]).tolist() == [[0, 255]]
 
     def test_source_out_of_range(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -447,10 +450,7 @@ class TestBfs:
 
     def test_matches_floyd_warshall_oracle(self):
         g = random_graph(30, 0.2, seed=7)
-        oracle = floyd_warshall(g)
-        for row in bfs_distances(g, range(g.n)):
-            got = np.where(row.dist == UNREACHABLE, np.inf, row.dist.astype(float))
-            assert np.array_equal(got, oracle[row.source])
+        assert np.array_equal(as_distances(bfs_distances(g, range(g.n))), floyd_warshall(g))
 
     @pytest.mark.parametrize("sources", [[-1], [1.7, 2.2], [0.0], ["x"], [[0, 1]]])
     def test_bad_sources_rejected(self, sources):
@@ -459,13 +459,13 @@ class TestBfs:
             bfs_distances(random_graph(20, 0.2, seed=3), sources)
 
     def test_no_sources(self):
-        assert bfs_distances(random_graph(5, 0.5, seed=1), []) == []
+        hops = bfs_distances(random_graph(5, 0.5, seed=1), [])
+        assert hops.shape == (0, 5) and hops.dtype == np.uint8
 
-    def test_rows_are_int32_and_contiguous(self):
-        rows = bfs_distances(random_graph(12, 0.3, seed=2), np.array([5, 0, 5]))
-        assert [r.source for r in rows] == [5, 0, 5]
-        for row in rows:
-            assert row.dist.dtype == np.int32 and row.dist.flags.c_contiguous
+    def test_block_is_uint8_and_contiguous(self):
+        hops = bfs_distances(random_graph(12, 0.3, seed=2), np.array([5, 0, 5]))
+        assert hops.shape == (3, 12) and hops.dtype == np.uint8 and hops.flags.c_contiguous
+        assert np.array_equal(hops[0], hops[2])
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), g=small_graphs())
@@ -475,39 +475,69 @@ class TestBfs:
         sources = data.draw(st.one_of(st.lists(vertex, unique=True),
                                       st.lists(vertex, max_size=2 * g.n),
                                       st.just([])))
-        rows = bfs_distances(g, sources)
-        assert [r.source for r in rows] == sources
-        for row in rows:
-            expected = frontier_bfs(g, row.source)
-            assert row.dist.dtype == expected.dtype
-            assert np.array_equal(row.dist, expected)
+        hops = bfs_distances(g, sources)
+        assert hops.shape == (len(sources), g.n) and hops.dtype == np.uint8
+        for s, row in zip(sources, hops):
+            assert np.array_equal(as_distances(row), frontier_bfs(g, s))
 
     @settings(max_examples=60, deadline=None)
     @given(g=small_graphs())
     def test_bit_identical_to_frontier_oracle(self, g):
-        rows = bfs_distances(g, range(g.n))
-        assert [r.source for r in rows] == list(range(g.n))
-        for row in rows:
-            expected = frontier_bfs(g, row.source)
-            assert row.dist.dtype == expected.dtype
-            assert np.array_equal(row.dist, expected)
+        hops = bfs_distances(g, range(g.n))
+        assert np.array_equal(as_distances(hops),
+                              np.stack([frontier_bfs(g, s) for s in range(g.n)]))
+
+    @pytest.mark.parametrize("num_sources", [1, 63, 64, 65, 130])
+    def test_word_boundaries_match_frontier_oracle(self, num_sources):
+        # 3 random components, 2 paths and 10 isolated vertices: 150 vertices in all
+        parts = [random_graph(40, 0.08, seed=s) for s in range(3)]
+        edges, offset = [], 0
+        for part in parts:
+            src, dst = part.edge_arrays()
+            edges += [(u + offset, v + offset) for u, v in zip(src, dst)]
+            offset += part.n
+        edges += [(v, v + 1) for v in range(120, 129)] + [(v, v + 1) for v in range(130, 139)]
+        g = Graph.from_edges(150, edges)
+        # even vertices with repeats, the first one isolated
+        sources = np.random.default_rng(num_sources).choice(75, num_sources) * 2
+        sources[0] = 148
+        hops = bfs_distances(g, sources)
+        assert hops.dtype == np.uint8
+        assert np.array_equal(as_distances(hops), np.stack([frontier_bfs(g, s) for s in sources]))
+
+    def test_long_path_widens_to_uint16(self):
+        g = Graph.from_edges(300, [(v, v + 1) for v in range(299)])
+        hops = bfs_distances(g, [0, 299, 150])
+        assert hops.dtype == np.uint16
+        assert hops[0].tolist() == list(range(300))
+        assert hops[1].tolist() == list(range(299, -1, -1))
+        # no path is the uint16 maximum after widening
+        g = Graph.from_edges(301, [(v, v + 1) for v in range(299)])
+        hops = bfs_distances(g, [0, 300])
+        assert hops.dtype == np.uint16
+        assert hops[0, 299] == 299 and hops[0, 300] == np.iinfo(np.uint16).max
+        assert hops[1].tolist() == [65535] * 300 + [0]
+
+    def test_longest_path_below_255_stays_uint8(self):
+        g = Graph.from_edges(255, [(v, v + 1) for v in range(254)])
+        hops = bfs_distances(g, [0])
+        assert hops.dtype == np.uint8 and hops[0].tolist() == list(range(255))
 
     def test_matches_matrix_power_reachability(self):
         g = random_graph(25, 0.1, seed=11)
         a = g.adjacency_csr().toarray()
-        (row,) = bfs_distances(g, [0])
-        reach = np.eye(g.n)
+        dist = as_distances(bfs_distances(g, [0])[0])
         power = np.eye(g.n)
         for ell in range(1, g.n + 1):
             power = power @ a
-            newly = (power[0] > 0) & (row.dist > ell - 1) & (row.dist != UNREACHABLE)
+            newly = (power[0] > 0) & (dist > ell - 1) & np.isfinite(dist)
             for v in np.nonzero(newly)[0]:
-                assert row.dist[v] <= ell
+                assert dist[v] <= ell
         # and every finite distance is witnessed by a walk of that length
         power = np.eye(g.n)
-        for ell in range(1, int(row.dist[row.dist != UNREACHABLE].max()) + 1):
+        for ell in range(1, int(dist[np.isfinite(dist)].max()) + 1):
             power = power @ a
-            for v in np.nonzero(row.dist == ell)[0]:
+            for v in np.nonzero(dist == ell)[0]:
                 assert power[0, v] > 0
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from graphquant import kernels
 from graphquant.errors import ConfigError, DataError
 from graphquant.estimation import kde_density
-from graphquant.graph import UNREACHABLE, Graph
-from graphquant.kernels import (KernelSpec, _shortest_path_block, make_evaluator,
+from graphquant.graph import Graph, bfs_distances
+from graphquant.kernels import (KernelSpec, make_evaluator,
                                 normalized_adjacency_sparse, ppr_matrix_dense,
                                 ppr_matrix_sparse_pruned)
 from graphquant.shift import generate_sbm
@@ -36,28 +36,25 @@ def oracle_kernel_matrix(spec, g):
     if spec.kind == kernels.PPR:
         return spec.interp * ppr_matrix_dense(g, spec.alpha, spec.walk_len) + (1.0 - spec.interp)
     if spec.kind == kernels.SHORTEST_PATH:
-        hops = np.stack([frontier_bfs(g, s) for s in range(g.n)])
-        values = np.exp(-spec.gamma * hops.astype(np.float64))
-        values[hops == UNREACHABLE] = 0.0
-        return values
+        # no path is an infinite hop count, and exp(-inf) = 0
+        return np.exp(-spec.gamma * np.stack([frontier_bfs(g, s) for s in range(g.n)]))
     return np.maximum(g.features @ g.features.T, 0.0)
 
 
 def csgraph_shortest_path_block(g, rows, gamma):
     """exp(-gamma * hops) with the hops from scipy's csgraph BFS, one search per
-    row: the construction _shortest_path_block replaced, and its oracle."""
+    row; no path is an infinite hop count, and exp(-inf) = 0. The oracle for the
+    sp evaluator."""
     from scipy.sparse.csgraph import shortest_path
 
     if len(rows) == 0:
         return np.empty((0, g.n))
-    hops_f = shortest_path(g.adjacency_csr(), unweighted=True, indices=rows)
-    hops = np.full(hops_f.shape, UNREACHABLE, dtype=np.int32)
-    finite = np.isfinite(hops_f)
-    hops[finite] = hops_f[finite]
-    block = -gamma * hops
-    np.exp(block, out=block)
-    block[hops == UNREACHABLE] = 0.0
-    return block
+    return np.exp(-gamma * shortest_path(g.adjacency_csr(), unweighted=True, indices=rows))
+
+
+def sp_kernel_block(g, rows, gamma):
+    """The sp evaluator for `rows` applied to the identity: its kernel rows."""
+    return make_evaluator(KernelSpec.shortest_path(gamma), g, rows)(np.eye(g.n))
 
 
 def dense_normalized_adjacency(g):
@@ -138,7 +135,7 @@ class TestShortestPathBlock:
     def test_bit_identical_to_csgraph_oracle(self, data, g, gamma):
         rows = np.asarray(data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)),
                           dtype=np.int64)
-        block = _shortest_path_block(g, rows, gamma)
+        block = sp_kernel_block(g, rows, gamma)
         expected = csgraph_shortest_path_block(g, rows, gamma)
         assert block.dtype == expected.dtype and block.shape == expected.shape
         assert np.array_equal(block, expected)
@@ -146,8 +143,35 @@ class TestShortestPathBlock:
     def test_bit_identical_on_block_graph(self):
         g = generate_sbm([100] * 4, 0.05, 0.005, seed=7)
         rows = np.random.default_rng(1).choice(g.n, size=60, replace=False)
-        assert np.array_equal(_shortest_path_block(g, rows, 3.0),
+        assert np.array_equal(sp_kernel_block(g, rows, 3.0),
                               csgraph_shortest_path_block(g, rows, 3.0))
+
+    def test_row_chunks_give_the_same_rows(self, monkeypatch):
+        g = generate_sbm([100] * 4, 0.05, 0.005, seed=7)
+        rows = np.random.default_rng(2).choice(g.n, size=60)
+        dists = np.random.default_rng(3).random((g.n, 5))
+        dists /= dists.sum(axis=0)
+        whole = make_evaluator(KernelSpec.shortest_path(), g, rows)(dists)
+        # 7 rows per chunk: 8 full chunks and a last one of 4
+        monkeypatch.setattr(kernels, "SP_CHUNK_BYTES", 8 * g.n * 7)
+        assert np.array_equal(sp_kernel_block(g, rows, 3.0),
+                              csgraph_shortest_path_block(g, rows, 3.0))
+        chunked = make_evaluator(KernelSpec.shortest_path(), g, rows)(dists)
+        assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
+        assert np.allclose(chunked, csgraph_shortest_path_block(g, rows, 3.0) @ dists,
+                           rtol=1e-14, atol=0.0)
+
+    def test_evaluator_keeps_one_byte_per_pair(self, monkeypatch):
+        held = []
+
+        def keep(g, rows):
+            held.append(bfs_distances(g, rows))
+            return held[-1]
+        monkeypatch.setattr(kernels, "bfs_distances", keep)
+        g = generate_sbm([100] * 4, 0.05, 0.005, seed=7)
+        make_evaluator(KernelSpec.shortest_path(), g, np.arange(0, g.n, 3))
+        (hops,) = held
+        assert hops.dtype == np.uint8 and hops.shape == (len(range(0, g.n, 3)), g.n)
 
     def test_sp_quantify_does_not_load_csgraph(self, fresh_python):
         script = (

@@ -130,6 +130,21 @@ class TestPps:
     def test_zipf_target(self):
         assert np.allclose(zipf_distribution(2, 1.0), [2 / 3, 1 / 3])
 
+    def test_infinite_zipf_exponent_puts_all_mass_on_one_class(self):
+        assert zipf_distribution(3, np.inf).tolist() == [1.0, 0.0, 0.0]
+
+    def test_large_negative_zipf_exponent_does_not_overflow(self):
+        # 5 ** 500 overflows; the weights were nan
+        q = zipf_distribution(5, -500.0)
+        assert np.isfinite(q).all() and q.sum() == 1.0 and q.argmax() == 4
+
+    @pytest.mark.parametrize("exponent", [np.nan, -np.inf])
+    def test_nan_or_minus_infinite_zipf_exponent_rejected(self, exponent):
+        # both used to end in "ValueError: repeats may not contain negative values"
+        v, y = labeled_pool([20, 20])
+        with pytest.raises(ConfigError, match="zipf exponent"):
+            sample_pps(v, y, num_classes=2, num_dists=1, n=10, zipf_exponent=exponent)
+
     def test_default_number_of_draws(self):
         v, y = labeled_pool([500, 500, 500, 500, 500, 500, 500])
         samples = sample_pps(v, y, num_classes=7, n=10, seed=1)
@@ -421,6 +436,30 @@ class TestSbm:
         a = generate_sbm([30, 30], 0.1, 0.01, seed=4)
         b = generate_sbm([30, 30], 0.1, 0.01, seed=4)
         assert np.array_equal(a.indices, b.indices)
+
+    @pytest.mark.parametrize("blocks, seed", [([1, 63, 64], 1), ([65, 130], 2),
+                                              ([130, 1, 64, 65], 3), ([500] * 4, 7)])
+    def test_row_chunks_draw_the_dense_graph(self, blocks, seed):
+        g = generate_sbm(blocks, 0.2, 0.05, seed=seed)
+        expected = dense_draw_sbm(blocks, 0.2, 0.05, seed)
+        assert np.array_equal(g.indptr, expected.indptr)
+        assert np.array_equal(g.indices, expected.indices)
+        assert np.array_equal(g.labels, expected.labels)
+
+
+def dense_draw_sbm(blocks, p_in, p_out, seed):
+    """The planted-partition graph with one dense b_i x b_j draw per block pair:
+    the construction generate_sbm replaced, and its oracle."""
+    offsets = np.cumsum([0] + blocks)
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(len(blocks)):
+        for j in range(i, len(blocks)):
+            mask = rng.random((blocks[i], blocks[j])) < (p_in if i == j else p_out)
+            us, vs = np.nonzero(np.triu(mask, k=1) if i == j else mask)
+            edges.append(np.column_stack([us + offsets[i], vs + offsets[j]]))
+    labels = np.repeat(np.arange(len(blocks)), blocks)
+    return Graph.from_edges(sum(blocks), np.concatenate(edges), labels=labels)
 
 
 class TestSerialization:
