@@ -8,8 +8,8 @@ harness to evaluate them.
 
 from .errors import ConfigError, DataError, GraphQuantError
 from .estimation import PredictionSet
-from .graph import Graph, bfs_distances, connected_components, load_graph, save_graph
-from .kernels import KernelSpec, make_evaluator, ppr_matrix_dense, ppr_matrix_sparse_pruned
+from .graph import Graph, bfs_distances, load_graph, save_graph
+from .kernels import KernelSpec, make_evaluator
 from .quantifiers import PrevalenceVector, QuantifierSpec, quantify, quantify_batch
 from .solver import SimplexLsqResult, solve_simplex_lsq
 from .shift import ShiftSample, SplitSpec, generate_sbm, sample_bfs, sample_pps, \
@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DataError", "GraphQuantError",
     "Graph",
-    "load_graph", "save_graph", "bfs_distances", "connected_components",
+    "load_graph", "save_graph", "bfs_distances",
     "KernelSpec", "make_evaluator",
-    "ppr_matrix_dense", "ppr_matrix_sparse_pruned",
     "PredictionSet",
     "SimplexLsqResult", "solve_simplex_lsq",
     "QuantifierSpec", "PrevalenceVector", "quantify", "quantify_batch",

@@ -16,6 +16,7 @@ import yaml
 from . import kernels, shift
 from .classifiers import DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS
 from .errors import ConfigError
+from .graph import read_text
 from .kernels import KernelSpec
 from .quantifiers import QuantifierSpec
 
@@ -115,7 +116,7 @@ def load_yaml(text: str, what: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    raw = load_yaml(Path(path).read_text(encoding="utf-8"), str(path))
+    raw = load_yaml(read_text(path, ConfigError), str(path))
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return parse_config(raw, base_dir=Path(path).parent)
@@ -228,9 +229,10 @@ _SPLIT_KEYS = ("fractions",)
 _CLASSIFIER_KEYS = ("name", "kind", "iterations", "damping", "path")
 _SHIFT_KEYS = ("name", "kind", "n", "num_dists", "zipf_exponent", "seeds_per_label", "walk_len",
                "alpha")
-# the keys each kernel kind takes, besides "kind"
-_KERNEL_KEYS = {kernels.CONSTANT: (), kernels.PPR: ("alpha", "walk_len", "interp"),
-               kernels.SHORTEST_PATH: ("gamma",), kernels.FEATURE: ()}
+# the keys each kernel kind takes, besides "kind", and their converters
+_KERNEL_KEYS = {kernels.CONSTANT: {},
+                kernels.PPR: {"alpha": float, "walk_len": int, "interp": float},
+                kernels.SHORTEST_PATH: {"gamma": float}, kernels.FEATURE: {}}
 _QUANTIFIER_KEYS = ("name", "base", "probabilistic", "nacc", "kernel_q", "kernel_p")
 
 
@@ -251,15 +253,10 @@ def parse_kernel_spec(raw) -> KernelSpec:
     kind = raw["kind"]
     if kind not in _KERNEL_KEYS:
         raise ConfigError(f"unknown kernel kind {kind!r}")
-    _reject_unknown_keys(raw, ("kind",) + _KERNEL_KEYS[kind], f"{kind} kernel spec")
-    if kind == kernels.PPR:
-        return KernelSpec.ppr(
-            alpha=float(raw.get("alpha", kernels.DEFAULT_ALPHA)),
-            walk_len=int(raw.get("walk_len", kernels.DEFAULT_WALK_LEN)),
-            interp=float(raw.get("interp", kernels.DEFAULT_INTERP)))
-    if kind == kernels.SHORTEST_PATH:
-        return KernelSpec.shortest_path(gamma=float(raw.get("gamma", kernels.DEFAULT_GAMMA)))
-    return KernelSpec(kind=kind)
+    converters = _KERNEL_KEYS[kind]
+    _reject_unknown_keys(raw, ("kind", *converters), f"{kind} kernel spec")
+    return KernelSpec(kind=kind, **{key: convert(raw[key])
+                                    for key, convert in converters.items() if key in raw})
 
 
 @_wrong_types_are_config_errors

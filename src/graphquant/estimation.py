@@ -82,15 +82,13 @@ def kde_density(kernel, samples, n: int) -> np.ndarray:
     return kernel(dists)
 
 
-def density_ratio(q_hat, p_hat, floor: float = DENSITY_FLOOR) -> np.ndarray:
+def density_ratio(q_hat, p_hat) -> np.ndarray:
     """Importance weights q/p with the denominator floored away from zero."""
     q_hat = np.asarray(q_hat, dtype=np.float64)
     p_hat = np.asarray(p_hat, dtype=np.float64)
     if q_hat.shape != p_hat.shape:
         raise DataError("density vectors must have the same length")
-    if floor <= 0:
-        raise ConfigError("floor must be > 0")
-    return q_hat / np.maximum(p_hat, floor)
+    return q_hat / np.maximum(p_hat, DENSITY_FLOOR)
 
 
 def outcome_matrix(preds: PredictionSet, mode: str, nbr=None) -> np.ndarray:

@@ -141,25 +141,22 @@ def _validate_features(features, n):
     return features
 
 
-def load_graph(edge_path, labels_path=None, features_path=None, n=None) -> Graph:
+def load_graph(edge_path, labels_path=None, features_path=None) -> Graph:
     """Load a graph from an edge file plus optional labels/features files.
 
     Edge file: one "u v" pair per line (space or tab separated), '#' starts
     a comment. Labels file: one integer per line, line i labels vertex i.
     Features file: one comma-separated row of reals per vertex.
 
-    The vertex count is (in order of precedence) the explicit `n`, the
-    number of label lines, or max edge endpoint + 1.
+    The vertex count is the number of label lines, or without a labels file
+    max edge endpoint + 1.
     """
     edges = _parse_edge_file(edge_path)
     labels = _parse_labels_file(labels_path) if labels_path is not None else None
     max_id = int(edges.max()) if edges.size else -1
-    if n is None:
-        n = len(labels) if labels is not None else max_id + 1
+    n = len(labels) if labels is not None else max_id + 1
     if max_id >= n:
         raise DataError(f"edge endpoint {max_id} out of range for n={n}")
-    if labels is not None and len(labels) != n:
-        raise DataError(f"labels file has {len(labels)} lines, expected {n}")
     features = _parse_features_file(features_path, n) if features_path is not None else None
     return Graph.from_edges(n, edges, labels=labels, features=features)
 
@@ -181,14 +178,14 @@ def save_graph(g: Graph, edge_path, labels_path=None, features_path=None) -> Non
         Path(features_path).write_text("".join(r + "\n" for r in rows))
 
 
-def read_text(path) -> str:
-    """The contents of a data file as text, newlines as in open(); DataError
-    naming the file if it is not UTF-8."""
+def read_text(path, error=DataError) -> str:
+    """The contents of a file as text, newlines as in open(); `error` (a data
+    error by default) naming the file if it is not UTF-8."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
-                        f"at offset {exc.start})") from None
+        raise error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                    f"at offset {exc.start})") from None
 
 
 def guarded_loadtxt(data: str | bytes, source, dtype, **kwargs) -> np.ndarray | None:
@@ -357,14 +354,3 @@ def _widen(hops: np.ndarray) -> np.ndarray:
     wide[hops == np.iinfo(hops.dtype).max] = np.iinfo(wide.dtype).max
     return wide
 
-
-def connected_components(g: Graph) -> np.ndarray:
-    """Per-vertex component ids, dense in 0..#components-1.
-
-    Ids are assigned in order of the smallest vertex of each component.
-    """
-    # Imported here: csgraph adds ~0.1 s to start-up and ~9 MiB of memory, and
-    # only this function needs it.
-    from scipy.sparse.csgraph import connected_components as components
-
-    return components(g.adjacency_csr(), directed=False)[1].astype(np.int64)

@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .graph import Graph, bfs_distances, check_vertex_ids
 
 DEFAULT_ALPHA = 0.1       # teleport probability per walk step
-DEFAULT_WALK_LEN = 10     # number of walk steps (matrix power)
+DEFAULT_WALK_LEN = 10     # number of walk steps
 DEFAULT_INTERP = 0.9      # weight of the PPR term in the interpolated kernel
 DEFAULT_GAMMA = 3.0       # decay rate of the shortest-path kernel
 
@@ -96,41 +96,15 @@ def normalized_adjacency_sparse(g: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
 
 
-def _check_ppr_params(alpha, walk_len):
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
-    if walk_len < 0:
-        raise ConfigError(f"walk_len must be >= 0, got {walk_len}")
-
-
-def ppr_matrix_dense(g: Graph, alpha: float, walk_len: int) -> np.ndarray:
-    """Full n x n matrix of walk probabilities (alpha*I + (1-alpha)*Abar)^walk_len."""
-    _check_ppr_params(alpha, walk_len)
-    base = alpha * np.eye(g.n) + (1.0 - alpha) * normalized_adjacency_sparse(g).toarray()
-    return np.linalg.matrix_power(base, walk_len)
-
-
-def ppr_matrix_sparse_pruned(g: Graph, alpha: float, walk_len: int,
-                             threshold: float) -> sp.csr_matrix:
-    """Sparse walk-probability matrix, zeroing product entries below the
-    threshold after every sparse multiplication.
-
-    With threshold = 0 this equals the dense power exactly (up to
-    floating-point rounding). The teleport term alpha*R is carried over
-    unpruned each step, so aggressive thresholds leave a diagonal remainder.
-    """
-    _check_ppr_params(alpha, walk_len)
-    if threshold < 0.0:
-        raise ConfigError("threshold must be >= 0")
-    abar = normalized_adjacency_sparse(g)
-    result = sp.identity(g.n, format="csr")
+def ppr_matrix_rows(abar: sp.csr_matrix, rows: np.ndarray, dists: np.ndarray,
+                    alpha: float, walk_len: int) -> np.ndarray:
+    """(Pi D)[rows] for the walk matrix Pi = (alpha*I + (1-alpha)*Abar)^walk_len,
+    by walk_len sparse x dense steps on D itself (Kepner & Gilbert 2011), so
+    neither Pi nor its rows are formed. `abar` is normalized_adjacency_sparse."""
+    x = dists
     for _ in range(walk_len):
-        prod = (abar @ result).tocsr()
-        if threshold > 0.0:
-            prod.data[prod.data < threshold] = 0.0
-            prod.eliminate_zeros()
-        result = (alpha * result + (1.0 - alpha) * prod).tocsr()
-    return result
+        x = alpha * x + (1.0 - alpha) * (abar @ x)
+    return x[rows]
 
 
 def make_evaluator(spec: KernelSpec, g: Graph, rows):
@@ -147,17 +121,14 @@ def make_evaluator(spec: KernelSpec, g: Graph, rows):
     if spec.kind == CONSTANT:
         return lambda dists: np.ones((len(rows), dists.shape[1]))
     if spec.kind == PPR:
-        # Pi D by walk_len sparse x dense steps on D itself, so neither the n x n
-        # walk matrix nor its rows are formed; the (1 - interp) term uses that
-        # every column of D sums to 1
+        # the (1 - interp) term uses that every column of D sums to 1
         abar = normalized_adjacency_sparse(g)
-        alpha, lam = spec.alpha, spec.interp
+        lam = spec.interp
 
         def ppr_map(dists):
-            x = dists
-            for _ in range(spec.walk_len):
-                x = alpha * x + (1.0 - alpha) * (abar @ x)
-            return lam * x[rows] + (1.0 - lam)
+            # looked up on this module, so tracing sees the call
+            walked = ppr_matrix_rows(abar, rows, dists, spec.alpha, spec.walk_len)
+            return lam * walked + (1.0 - lam)
         return ppr_map
     if spec.kind == SHORTEST_PATH:
         return _shortest_path_map(g, rows, spec.gamma)

@@ -42,12 +42,11 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def solve_simplex_lsq(C, p, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERATIONS,
-                      debug: bool = False) -> SimplexLsqResult:
+def solve_simplex_lsq(C, p, debug: bool = False) -> SimplexLsqResult:
     """Minimize ||C q - p||_2^2 over the unit simplex.
 
     Convergence is declared when the per-step objective improvement drops
-    below tol * (1 + objective); hitting the iteration cap returns the best
+    below DEFAULT_TOL * (1 + objective); hitting MAX_ITERATIONS returns the best
     iterate with converged=False. Collinear columns of C are tolerated: one
     optimum is returned deterministically.
     """
@@ -83,7 +82,7 @@ def solve_simplex_lsq(C, p, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERAT
 
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         grad = 2.0 * (ctc @ q - ctp)
         q_next = project_to_simplex(q - step * grad)
         obj_next = objective(q_next)
@@ -91,7 +90,7 @@ def solve_simplex_lsq(C, p, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITERAT
             trajectory.append(obj_next)
         improvement = obj - obj_next
         q, obj = q_next, obj_next
-        if improvement < tol * (1.0 + obj_next):
+        if improvement < DEFAULT_TOL * (1.0 + obj_next):
             converged = True
             break
 

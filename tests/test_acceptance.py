@@ -13,7 +13,7 @@ from graphquant.config import parse_config
 from graphquant.estimation import PredictionSet
 from graphquant.graph import Graph, bfs_distances
 from graphquant.harness import ae, rae, run_experiment
-from graphquant.kernels import KernelSpec, ppr_matrix_dense, ppr_matrix_sparse_pruned
+from graphquant.kernels import KernelSpec
 from graphquant.quantifiers import QuantifierSpec, quantify, quantify_batch
 from graphquant.shift import (generate_sbm, largest_remainder_counts, sample_bfs,
                               sample_pps, sample_rw, save_samples, uniform_split,
@@ -21,6 +21,7 @@ from graphquant.shift import (generate_sbm, largest_remainder_counts, sample_bfs
 from graphquant.solver import solve_simplex_lsq
 
 from test_graph import as_distances, floyd_warshall, random_graph
+from test_kernels import ppr_matrix_dense, walk_matrix
 from test_solver import simplex_grid
 
 
@@ -115,18 +116,17 @@ def test_criterion_03_solver_oracle_equivalence():
 
 
 def test_criterion_04_ppr_correctness():
-    with criterion("04 walk-probability matrices", 5.0):
+    # walk_matrix: make_evaluator(KernelSpec.ppr(alpha, walk_len, interp=1.0), g,
+    # range(n)) applied to the identity, the walk SIS runs
+    with criterion("04 walk probabilities of the SIS walk", 5.0):
         for seed in range(20):
             g = random_graph(20 + seed * 2, 0.12, seed=seed)
-            pi = ppr_matrix_dense(g, 0.1, 5)
+            pi = walk_matrix(g, 0.1, 5)
             assert np.abs(pi.sum(axis=0) - 1.0).max() <= 1e-9
-            pruned = ppr_matrix_sparse_pruned(g, 0.1, 5, 0.0).toarray()
-            assert np.abs(pi - pruned).max() <= 1e-9
+            assert np.abs(pi - ppr_matrix_dense(g, 0.1, 5)).max() <= 1e-9
         path = Graph.from_edges(2, [(0, 1)])
-        assert np.abs(ppr_matrix_dense(path, 0.1, 1)
-                      - [[0.1, 0.9], [0.9, 0.1]]).max() <= 1e-12
-        assert np.abs(ppr_matrix_dense(path, 0.1, 2)
-                      - [[0.82, 0.18], [0.18, 0.82]]).max() <= 1e-12
+        assert np.abs(walk_matrix(path, 0.1, 1) - [[0.1, 0.9], [0.9, 0.1]]).max() <= 1e-12
+        assert np.abs(walk_matrix(path, 0.1, 2) - [[0.82, 0.18], [0.18, 0.82]]).max() <= 1e-12
 
 
 def test_criterion_05_nacc_identifiability():

@@ -477,3 +477,30 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(*argv[kind]) == 2
         assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_one(self, tmp_path, capsys):
+        # used to exit 3 with "internal error: UnicodeDecodeError"
+        config = tmp_path / "config.yaml"
+        config.write_bytes(b"dataset: {name: x}\n\xff\n")
+        assert run("experiment", "--config", config) == 1
+        assert f"{config}: not UTF-8 text (byte 0xff at offset 19)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment --config", "split --edges",
+                                         "split --out", "quantify --test"])
+    def test_directory_as_path_is_two(self, tmp_path, command, capsys):
+        # each used to exit 3 with "internal error: IsADirectoryError"
+        edges, labels = make_graph_files(tmp_path)
+        split, preds = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert run("split", "--edges", edges, "--labels", labels, "--out", split) == 0
+        assert run("classify", "--edges", edges, "--labels", labels, "--split", split,
+                   "--out", preds) == 0
+        graph = ["--edges", edges, "--labels", labels]
+        argv = {"experiment --config": ["experiment", "--config", tmp_path],
+                "split --edges": ["split", "--edges", tmp_path, "--labels", labels,
+                                  "--out", tmp_path / "s2.csv"],
+                "split --out": ["split", *graph, "--out", tmp_path],
+                "quantify --test": ["quantify", *graph, "--split", split, "--preds", preds,
+                                    "--test", tmp_path]}[command]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("data error: ")

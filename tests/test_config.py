@@ -19,6 +19,14 @@ class TestKernelSpecParsing:
         assert parse_kernel_spec("feature") == KernelSpec.feature()
         assert parse_kernel_spec({"kind": "constant"}) == KernelSpec.constant()
 
+    def test_missing_keys_take_the_kernel_defaults_and_checks(self):
+        assert parse_kernel_spec({"kind": "ppr", "walk_len": 4}) == KernelSpec.ppr(walk_len=4)
+        assert parse_kernel_spec({"kind": "sp"}) == KernelSpec.shortest_path()
+        gamma = parse_kernel_spec({"kind": "sp", "gamma": 2}).gamma
+        assert gamma == 2.0 and type(gamma) is float
+        with pytest.raises(ConfigError, match="ppr alpha must be in"):
+            parse_kernel_spec({"kind": "ppr", "alpha": 1})
+
     @pytest.mark.parametrize("raw,key", [
         ({"kind": "sp", "gama": 50}, "gama"),            # misspelt: ran with gamma 3
         ({"kind": "ppr", "mode": "dense"}, "mode"),      # removed option

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphquant.errors import ConfigError, DataError
-from graphquant.estimation import (HARD, SOFT, PredictionSet,
+from graphquant.estimation import (DENSITY_FLOOR, HARD, SOFT, PredictionSet,
                                    confusion_estimate, density_ratio, kde_density,
                                    nacc_features, outcome_matrix, prevalence_vector)
 from graphquant.graph import Graph
@@ -79,7 +79,8 @@ class TestDensityRatio:
         assert density_ratio([0.5], [0.25])[0] == pytest.approx(2.0)
 
     def test_floor_prevents_division_by_zero(self):
-        assert density_ratio([0.3], [0.0], floor=1e-6)[0] == pytest.approx(3e5)
+        assert density_ratio([0.3], [0.0])[0] == pytest.approx(0.3 / DENSITY_FLOOR)
+        assert density_ratio([0.3], [DENSITY_FLOOR / 2])[0] == pytest.approx(0.3 / DENSITY_FLOOR)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from graphquant.errors import DataError
 from graphquant.graph import (Graph, _parse_edge_file, _parse_features_file,
                               _parse_labels_file, bfs_distances, check_vertex_ids,
-                              connected_components, load_graph, save_graph)
+                              load_graph, save_graph)
 
 
 def random_graph(n, p, seed, labels=False):
@@ -225,6 +225,14 @@ def smallest_vertex_first_components(g):
             comp[np.isfinite(frontier_bfs(g, v))] = next_id
             next_id += 1
     return comp
+
+
+def connected_components(g):
+    """Component ids from scipy's csgraph, numbered in order of each component's
+    smallest vertex: the component oracle of the graph and sampler tests."""
+    from scipy.sparse.csgraph import connected_components as components
+
+    return components(g.adjacency_csr(), directed=False)[1].astype(np.int64)
 
 
 def floyd_warshall(g):
@@ -542,6 +550,8 @@ class TestBfs:
 
 
 class TestComponents:
+    """The csgraph component oracle, checked against BFS and union-find."""
+
     def test_empty_graph(self):
         g = Graph.from_edges(3, [])
         assert list(connected_components(g)) == [0, 1, 2]

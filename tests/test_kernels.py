@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from graphquant import kernels
 from graphquant.errors import ConfigError, DataError
 from graphquant.estimation import kde_density
 from graphquant.graph import Graph, bfs_distances
-from graphquant.kernels import (KernelSpec, make_evaluator,
-                                normalized_adjacency_sparse, ppr_matrix_dense,
-                                ppr_matrix_sparse_pruned)
+from graphquant.kernels import (KernelSpec, make_evaluator, normalized_adjacency_sparse,
+                                ppr_matrix_rows)
 from graphquant.shift import generate_sbm
 
 from test_graph import frontier_bfs, random_graph, small_graphs
@@ -26,6 +26,23 @@ def two_path():
 def kernel_values(spec, g, rows, cols):
     """k(rows[i], cols[j]): the evaluator applied to the indicator columns of cols."""
     return make_evaluator(spec, g, rows)(np.eye(g.n)[:, cols])
+
+
+def walk_matrix(g, alpha, walk_len):
+    """The n x n walk probabilities of the walk SIS runs: the ppr evaluator at
+    interp 1 for every row, applied to the identity."""
+    spec = KernelSpec.ppr(alpha=alpha, walk_len=walk_len, interp=1.0)
+    return make_evaluator(spec, g, range(g.n))(np.eye(g.n))
+
+
+def traced_peak(call):
+    """The peak bytes traced by tracemalloc, numpy's arrays included, while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_kernel_matrix(spec, g):
@@ -68,6 +85,13 @@ def dense_normalized_adjacency(g):
     iso = np.where(~nz)[0]
     abar[iso, iso] = 1.0
     return abar
+
+
+def ppr_matrix_dense(g, alpha, walk_len):
+    """(alpha*I + (1-alpha)*Abar)^walk_len by a dense matrix power: the small-n
+    oracle for the walk."""
+    base = alpha * np.eye(g.n) + (1.0 - alpha) * dense_normalized_adjacency(g)
+    return np.linalg.matrix_power(base, walk_len)
 
 
 def matmul_normalized_adjacency(g):
@@ -178,7 +202,6 @@ class TestShortestPathBlock:
             "import sys\n"
             "import numpy as np\n"
             "from graphquant import KernelSpec, PredictionSet, QuantifierSpec, quantify\n"
-            "from graphquant.graph import connected_components\n"
             "from graphquant.shift import generate_sbm\n"
             "g = generate_sbm([30, 30], 0.2, 0.02, seed=1)\n"
             "preds = PredictionSet.from_hard(g.labels, K=2)\n"
@@ -186,30 +209,34 @@ class TestShortestPathBlock:
             "spec = QuantifierSpec(base='acc', kernel_q=KernelSpec.shortest_path())\n"
             "quantify(spec, g, train, g.labels[train], test, preds)\n"
             "print('scipy.sparse.csgraph' in sys.modules)\n"
-            "connected_components(g)\n"
+            "import scipy.sparse.csgraph\n"
             "print('scipy.sparse.csgraph' in sys.modules)\n")
         out = fresh_python(script)
-        # loaded only by connected_components, which shows the check can see it
+        # the explicit import shows the check can see it
         assert out == ["False", "True"]
 
 
 class TestPprDense:
+    """The n x n walk probabilities, read off the walk applied to the identity."""
+
     def test_single_step_hand_case(self):
-        pi = ppr_matrix_dense(two_path(), alpha=0.1, walk_len=1)
+        pi = walk_matrix(two_path(), alpha=0.1, walk_len=1)
         assert np.allclose(pi, [[0.1, 0.9], [0.9, 0.1]], atol=1e-12)
 
     def test_two_step_hand_case(self):
-        pi = ppr_matrix_dense(two_path(), alpha=0.1, walk_len=2)
+        pi = walk_matrix(two_path(), alpha=0.1, walk_len=2)
         assert np.allclose(pi, [[0.82, 0.18], [0.18, 0.82]], atol=1e-12)
 
     def test_zero_steps_is_identity(self):
         g = random_graph(12, 0.3, seed=0)
-        assert np.array_equal(ppr_matrix_dense(g, 0.3, 0), np.eye(12))
+        walked = ppr_matrix_rows(normalized_adjacency_sparse(g), np.arange(12), np.eye(12),
+                                 0.3, 0)
+        assert np.array_equal(walked, np.eye(12))
 
     def test_columns_stochastic(self):
         for seed in range(5):
             g = random_graph(30, 0.15, seed=seed)
-            pi = ppr_matrix_dense(g, 0.1, 10)
+            pi = walk_matrix(g, 0.1, 10)
             assert np.abs(pi.sum(axis=0) - 1.0).max() < 1e-9
             assert pi.min() >= 0.0 and pi.max() <= 1.0 + 1e-12
 
@@ -217,7 +244,7 @@ class TestPprDense:
         g = Graph.from_edges(3, [(0, 1)])
         abar = normalized_adjacency_sparse(g).toarray()
         assert abar[2, 2] == 1.0
-        pi = ppr_matrix_dense(g, 0.2, 4)
+        pi = walk_matrix(g, 0.2, 4)
         assert np.abs(pi.sum(axis=0) - 1.0).max() < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -236,40 +263,10 @@ class TestPprDense:
             assert np.all(np.diff(abar.indices[abar.indptr[v]:abar.indptr[v + 1]]) > 0)
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ConfigError):
-            ppr_matrix_dense(two_path(), alpha=1.0, walk_len=1)
-        with pytest.raises(ConfigError):
-            ppr_matrix_dense(two_path(), alpha=0.0, walk_len=1)
-
-
-class TestPprSparsePruned:
-    def test_zero_threshold_matches_dense(self):
-        g = random_graph(20, 0.2, seed=2)
-        dense = ppr_matrix_dense(g, 0.1, 5)
-        sparse = ppr_matrix_sparse_pruned(g, 0.1, 5, 0.0).toarray()
-        assert np.abs(dense - sparse).max() < 1e-9
-
-    def test_zero_threshold_matches_dense_on_larger_graphs(self):
-        for seed in range(3):
-            g = random_graph(100, 0.05, seed=seed)
-            dense = ppr_matrix_dense(g, 0.15, 6)
-            sparse = ppr_matrix_sparse_pruned(g, 0.15, 6, 0.0).toarray()
-            assert np.abs(dense - sparse).max() < 1e-9
-
-    def test_full_pruning_leaves_diagonal_remainder(self):
-        # min degree 2, so every product entry is < 1 and gets pruned each step
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        got = ppr_matrix_sparse_pruned(g, 0.1, 3, 1.0).toarray()
-        assert np.allclose(got, 0.1 ** 3 * np.eye(3), atol=1e-15)
-
-    def test_mild_threshold_no_entry_below(self):
-        got = ppr_matrix_sparse_pruned(two_path(), 0.1, 2, 0.05).toarray()
-        dense = ppr_matrix_dense(two_path(), 0.1, 2)
-        assert np.abs(got - dense).max() < 1e-12
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            ppr_matrix_sparse_pruned(two_path(), 0.1, 1, -0.1)
+        with pytest.raises(ConfigError, match="alpha"):
+            walk_matrix(two_path(), alpha=1.0, walk_len=1)
+        with pytest.raises(ConfigError, match="alpha"):
+            walk_matrix(two_path(), alpha=0.0, walk_len=1)
 
 
 class TestPprRows:
@@ -287,26 +284,26 @@ class TestPprRows:
                            rtol=0.0, atol=1e-12)
 
     def test_zero_steps_is_indicator(self):
-        # a ppr spec needs walk_len >= 1; zero steps are read off the pruned matrix
+        # a ppr spec needs walk_len >= 1; zero steps are the walk function's own
         g = random_graph(6, 0.4, seed=3)
-        got = ppr_matrix_sparse_pruned(g, 0.2, 0, 0.0).toarray()[[4, 1]]
-        assert np.array_equal(got, np.eye(6)[[4, 1]])
+        dists = np.random.default_rng(3).random((6, 4))
+        got = ppr_matrix_rows(normalized_adjacency_sparse(g), [4, 1], dists, 0.2, 0)
+        assert np.array_equal(got, dists[[4, 1]])
 
     def test_alpha_out_of_range(self):
         for bad_alpha in (0.0, 1.0):
             with pytest.raises(ConfigError):
-                ppr_matrix_sparse_pruned(two_path(), alpha=bad_alpha, walk_len=1, threshold=0.0)
-            with pytest.raises(ConfigError):
                 make_evaluator(KernelSpec.ppr(alpha=bad_alpha, walk_len=1), two_path(), [0])
 
-    def test_dense_mode_never_builds_full_matrix(self, monkeypatch):
-        def full_matrix(*args):
-            raise AssertionError("n x n walk matrix built")
-        for name in ("ppr_matrix_dense", "ppr_matrix_sparse_pruned"):
-            monkeypatch.setattr(kernels, name, full_matrix)
-        g = random_graph(20, 0.2, seed=9)
-        values = kernel_values(KernelSpec.ppr(interp=1.0), g, [3, 0], range(20))
-        assert values.shape == (2, 20)
+    def test_dense_mode_never_builds_full_matrix(self):
+        # under 1/8 of one n x n float64 block (8 MB at n = 1,000); the walk holds
+        # a few n x 10 blocks
+        g = generate_sbm([250] * 4, 0.02, 0.002, seed=9)
+        evaluator = make_evaluator(KernelSpec.ppr(interp=1.0), g, [3, 0])
+        indicators = np.eye(g.n)[:, :10]
+        values = []
+        assert traced_peak(lambda: values.append(evaluator(indicators))) < g.n * g.n
+        assert values[0].shape == (2, 10)
 
 
 class TestPprDensity:
@@ -329,14 +326,14 @@ class TestPprDensity:
             oracle = (interp * pi[np.ix_(rows, cols)] + (1.0 - interp)).mean(axis=1)
             assert np.allclose(got[:, j], oracle, rtol=0.0, atol=1e-12)
 
-    def test_builds_no_row_block(self, monkeypatch):
-        def walk_matrix(*args):
-            raise AssertionError("n x n walk matrix built")
-        for name in ("ppr_matrix_dense", "ppr_matrix_sparse_pruned"):
-            monkeypatch.setattr(kernels, name, walk_matrix)
-        g = random_graph(20, 0.2, seed=9)
-        density = kde_density(make_evaluator(KernelSpec.ppr(), g, [3, 0]), [[1, 1, 5], [7]], g.n)
-        assert density.shape == (2, 2)
+    def test_builds_no_row_block(self):
+        # under 1/8 of one n x n float64 block at n = 1,000
+        g = generate_sbm([250] * 4, 0.02, 0.002, seed=9)
+        evaluator = make_evaluator(KernelSpec.ppr(), g, [3, 0])
+        densities = []
+        assert traced_peak(lambda: densities.append(
+            kde_density(evaluator, [[1, 1, 5], [7]], g.n))) < g.n * g.n
+        assert densities[0].shape == (2, 2)
 
 
 class TestEvaluateKernel:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphquant import estimation, quantifiers
+from graphquant import estimation, quantifiers, solver
 from graphquant.errors import ConfigError, DataError
 from graphquant.estimation import (PredictionSet, confusion_estimate, outcome_matrix,
                                    prevalence_vector)
@@ -150,6 +150,18 @@ class TestAcc:
         preds = PredictionSet.from_hard(g.labels, K=3)
         out = quantify(QuantifierSpec(base="acc"), g, [0, 1], [0, 1], [2, 3, 4], preds)
         assert any(f.startswith("zero-support") for f in out.flags)
+
+    def test_solver_iteration_cap_is_flagged(self, monkeypatch):
+        # the test prevalence is not uniform, so the first gradient step from the
+        # uniform start is not the last
+        g = Graph.from_edges(40, [], labels=np.random.default_rng(0).integers(0, 3, 40))
+        preds = PredictionSet.from_hard(g.labels, K=3)
+        train, test = np.arange(20), np.arange(20, 40)
+        spec = QuantifierSpec(base="acc")
+        assert quantify(spec, g, train, g.labels[train], test, preds).flags == ()
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        out = quantify(spec, g, train, g.labels[train], test, preds)
+        assert out.flags == ("solver-not-converged",)
 
     def test_nacc_system_shape(self):
         g = generate_sbm([20, 20], 0.3, 0.02, seed=4)

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from graphquant.config import ShiftConfig
 from graphquant.errors import ConfigError, DataError
-from graphquant.graph import Graph, check_vertex_ids, connected_components
+from graphquant.graph import Graph, check_vertex_ids
 from graphquant.harness import draw_samples
 from graphquant.shift import (generate_sbm, largest_remainder_counts, load_sample_sections,
                               sample_bfs, sample_pps, sample_rw, save_samples,
                               uniform_split, write_manifest, zipf_distribution)
 
-from test_graph import BLANK_LINES, NEWLINES, outcome
+from test_graph import BLANK_LINES, NEWLINES, connected_components, outcome
 
 
 def load_sample_sections_by_line(path, n):
