@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .estimation import PredictionSet
 from .graph import Graph, check_vertex_ids, read_table, read_text
 
@@ -93,9 +93,9 @@ def label_prop_predict(g: Graph, train_vertices, train_labels,
     if len(train_vertices) == 0:
         raise DataError("label propagation needs a non-empty training set")
     if not 0.0 < damping < 1.0:
-        raise DataError(f"damping must be in (0,1), got {damping}")
+        raise ConfigError(f"label propagation damping must be in (0,1), got {damping}")
     if iterations < 0:
-        raise DataError("iterations must be >= 0")
+        raise ConfigError(f"label propagation iterations must be >= 0, got {iterations}")
     train_labels, K = check_labels(g, train_vertices, train_labels, num_classes)
 
     init = np.full((g.n, K), 1.0 / K)

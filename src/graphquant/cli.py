@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import harness
-from .classifiers import enq_predict, label_prop_predict, save_predictions, load_predictions
+from .classifiers import load_predictions, save_predictions
 from .config import (DEFAULT_FRACTIONS, DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS,
                      check_seed, load_config, load_yaml, parse_quantifier_spec)
 from .errors import ConfigError, DataError
@@ -144,8 +144,7 @@ def cmd_sample_shift(args) -> int:
     split = load_split(args.split, g.n)
     pool = split.test
     shift_cfg = config_mod.ShiftConfig(
-        name=args.kind, kind=args.kind, n=args.n,
-        num_dists=args.num_dists, zipf_exponent=args.zipf_exponent,
+        kind=args.kind, n=args.n, num_dists=args.num_dists, zipf_exponent=args.zipf_exponent,
         seeds_per_label=args.seeds_per_label, walk_len=args.walk_len, alpha=args.alpha)
     samples = harness.draw_samples(shift_cfg, g, pool, g.labels[pool],
                                    seed=seed, num_classes=g.num_classes)
@@ -161,11 +160,9 @@ def cmd_classify(args) -> int:
         raise DataError("classification needs a labels file")
     split = load_split(args.split, g.n)
     train = split.classifier_train
-    if args.variant == "enq":
-        preds = enq_predict(g, train, g.labels[train])
-    else:
-        preds = label_prop_predict(g, train, g.labels[train],
-                                   iterations=args.iterations, damping=args.damping)
+    cfg = config_mod.ClassifierConfig(kind=args.variant.replace("-", "_"),
+                                      iterations=args.iterations, damping=args.damping)
+    preds = harness.fit_classifier(cfg, g, train, g.labels[train])
     save_predictions(preds, args.out)
     print(f"wrote predictions for {preds.n} vertices")
     return 0

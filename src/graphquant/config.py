@@ -2,12 +2,15 @@
 
 Top-level keys: dataset, split, classifiers, quantifiers, shifts,
 repetitions, seed, output. See the README for the full schema and the
-package defaults.
+package defaults. `_build` reads every section through its table, which maps
+each key the section takes to a strict converter; the dataclass defaults are
+the only defaults.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,38 +41,62 @@ class SbmParams:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    name: str
+    name: str = "dataset"
     edges: str | None = None
     labels: str | None = None
     features: str | None = None
     sbm: SbmParams | None = None
 
+    def __post_init__(self):
+        if self.sbm is None and self.edges is None:
+            raise ConfigError("dataset needs either file paths or sbm parameters")
+        if self.sbm is None and self.labels is None:
+            raise ConfigError("file-based datasets need a labels file")
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    name: str
     kind: str
+    name: str | None = None  # None: the kind
     iterations: int = DEFAULT_LP_ITERATIONS
     damping: float = DEFAULT_LP_DAMPING
     path: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in (ENQ, LABEL_PROP, EXTERNAL):
+            raise ConfigError(f"unknown classifier kind {self.kind!r}")
+        if self.name is None:
+            object.__setattr__(self, "name", self.kind)
+        if self.kind == EXTERNAL and not self.path:
+            raise ConfigError(f"classifier {self.name!r}: external classifiers need a path")
+
 
 @dataclass(frozen=True)
 class QuantifierConfig:
-    name: str
     spec: QuantifierSpec
+    name: str | None = None  # None: the spec's name
+
+    def __post_init__(self):
+        if self.name is None:
+            object.__setattr__(self, "name", self.spec.name)
 
 
 @dataclass(frozen=True)
 class ShiftConfig:
-    name: str
     kind: str  # pps | bfs | rw
+    name: str | None = None  # None: the kind
     n: int = shift.DEFAULT_SAMPLE_SIZE
     num_dists: int | None = None
     zipf_exponent: float = shift.DEFAULT_ZIPF_EXPONENT
     seeds_per_label: int = shift.DEFAULT_SEEDS_PER_LABEL
     walk_len: int = shift.DEFAULT_RW_WALK_LEN
     alpha: float = shift.DEFAULT_RW_ALPHA
+
+    def __post_init__(self):
+        if self.kind not in ("pps", "bfs", "rw"):
+            raise ConfigError(f"unknown shift kind {self.kind!r}")
+        if self.name is None:
+            object.__setattr__(self, "name", self.kind)
 
 
 @dataclass(frozen=True)
@@ -92,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one classifier")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if len(self.fractions) != 3:
+            raise ConfigError(f"split fractions must have 3 entries, got {self.fractions}")
         names = [q.name for q in self.quantifiers]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate quantifier names in {names}")
@@ -122,125 +151,24 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw, base_dir=Path(path).parent)
 
 
-def _wrong_types_are_config_errors(parse):
-    """`parse`, raising ConfigError where int(), float() or another conversion
-    rejects a value of the parsed YAML: a value that is not a number where one
-    is due."""
-    @functools.wraps(parse)
-    def checked(*args, **kwargs):
-        try:
-            return parse(*args, **kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config value of the wrong type: {exc}") from None
-    return checked
-
-
-@_wrong_types_are_config_errors
 def parse_config(raw: dict, base_dir=None) -> ExperimentConfig:
-    base_dir = Path(base_dir) if base_dir is not None else Path(".")
+    """The experiment config in the parsed YAML `raw`; its relative file paths
+    are taken from `base_dir` (default: the working directory)."""
+    cfg = _build(ExperimentConfig, raw, _TOP, "config")
+    base = Path("." if base_dir is None else base_dir)
 
-    def resolve(p):
-        return None if p is None else str((base_dir / p) if not Path(p).is_absolute() else Path(p))
-
-    _section(raw, _TOP_KEYS, "config")
-    dataset = _parse_dataset(_require(raw, "dataset"), resolve)
-    split = _section(raw.get("split") or {}, _SPLIT_KEYS, "split")
-    fractions = tuple(float(f) for f in split.get("fractions", DEFAULT_FRACTIONS))
-    if len(fractions) != 3:
-        raise ConfigError(f"split fractions must have 3 entries, got {fractions}")
-    classifiers = tuple(_parse_classifier(c, i, resolve)
-                        for i, c in enumerate(_require(raw, "classifiers")))
-    quantifiers = tuple(_parse_quantifier(q, i) for i, q in enumerate(_require(raw, "quantifiers")))
-    shifts = tuple(_parse_shift(s, i) for i, s in enumerate(_require(raw, "shifts")))
-    return ExperimentConfig(
-        dataset=dataset, classifiers=classifiers, quantifiers=quantifiers, shifts=shifts,
-        fractions=fractions, repetitions=int(raw.get("repetitions", 1)),
-        seed=check_seed(raw.get("seed", 0), "seed"),
-        output=resolve(raw.get("output", "results.csv")))
+    def at(path):
+        return None if path is None else str(base / path)
+    ds = cfg.dataset
+    return dataclasses.replace(
+        cfg, **_build(dict, raw.get("split"), _SPLIT, "split"), output=at(cfg.output),
+        dataset=dataclasses.replace(ds, edges=at(ds.edges), labels=at(ds.labels),
+                                    features=at(ds.features)),
+        classifiers=tuple(dataclasses.replace(c, path=at(c.path)) for c in cfg.classifiers))
 
 
-def check_seed(seed, what: str) -> int:
-    """`seed` as an int; ConfigError naming `what` if it is negative, which no
-    numpy random generator takes."""
-    seed = int(seed)
-    if seed < 0:
-        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _require(raw: dict, key: str):
-    if key not in raw or raw[key] is None:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return raw[key]
-
-
-def _section(raw, allowed, what: str) -> dict:
-    """`raw`, checked to be a mapping whose keys are all in `allowed`."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a mapping")
-    _reject_unknown_keys(raw, allowed, what)
-    return raw
-
-
-def _parse_dataset(raw: dict, resolve) -> DatasetConfig:
-    _section(raw, _DATASET_KEYS, "dataset")
-    name = raw.get("name", "dataset")
-    sbm = None
-    if "sbm" in raw and raw["sbm"] is not None:
-        s = _section(raw["sbm"], _SBM_KEYS, "sbm")
-        try:
-            sbm = SbmParams(blocks=tuple(int(b) for b in s["blocks"]),
-                            p_in=float(s["p_in"]), p_out=float(s["p_out"]),
-                            block_labels=tuple(s["block_labels"]) if s.get("block_labels") else None,
-                            seed=check_seed(s.get("seed", 0), "sbm seed"))
-        except KeyError as exc:
-            raise ConfigError(f"sbm config is missing {exc}")
-    edges = resolve(raw.get("edges"))
-    if sbm is None and edges is None:
-        raise ConfigError("dataset needs either file paths or sbm parameters")
-    if sbm is None and raw.get("labels") is None:
-        raise ConfigError("file-based datasets need a labels file")
-    return DatasetConfig(name=name, edges=edges, labels=resolve(raw.get("labels")),
-                         features=resolve(raw.get("features")), sbm=sbm)
-
-
-def _parse_classifier(raw: dict, index: int, resolve) -> ClassifierConfig:
-    _section(raw, _CLASSIFIER_KEYS, f"classifier #{index}")
-    kind = raw.get("kind")
-    if kind not in (ENQ, LABEL_PROP, EXTERNAL):
-        raise ConfigError(f"classifier #{index}: unknown kind {kind!r}")
-    name = raw.get("name", kind)
-    if kind == EXTERNAL and not raw.get("path"):
-        raise ConfigError(f"classifier {name!r}: external classifiers need a path")
-    damping = float(raw.get("damping", DEFAULT_LP_DAMPING))
-    if kind == LABEL_PROP and not 0.0 < damping < 1.0:
-        raise ConfigError(f"classifier {name!r}: damping must be in (0,1)")
-    return ClassifierConfig(name=name, kind=kind,
-                            iterations=int(raw.get("iterations", DEFAULT_LP_ITERATIONS)),
-                            damping=damping, path=resolve(raw.get("path")))
-
-
-# the keys each config section takes
-_TOP_KEYS = ("dataset", "split", "classifiers", "quantifiers", "shifts", "repetitions", "seed",
-             "output")
-_DATASET_KEYS = ("name", "edges", "labels", "features", "sbm")
-_SBM_KEYS = ("blocks", "p_in", "p_out", "block_labels", "seed")
-_SPLIT_KEYS = ("fractions",)
-_CLASSIFIER_KEYS = ("name", "kind", "iterations", "damping", "path")
-_SHIFT_KEYS = ("name", "kind", "n", "num_dists", "zipf_exponent", "seeds_per_label", "walk_len",
-               "alpha")
-# the keys each kernel kind takes, besides "kind", and their converters
-_KERNEL_KEYS = {kernels.CONSTANT: {},
-                kernels.PPR: {"alpha": float, "walk_len": int, "interp": float},
-                kernels.SHORTEST_PATH: {"gamma": float}, kernels.FEATURE: {}}
-_QUANTIFIER_KEYS = ("name", "base", "probabilistic", "nacc", "kernel_q", "kernel_p")
-
-
-def _reject_unknown_keys(raw: dict, allowed, what: str) -> None:
-    unknown = sorted(str(k) for k in raw if k not in allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {what} "
-                          f"(allowed: {', '.join(sorted(allowed))})")
+def parse_quantifier_spec(raw) -> QuantifierSpec:
+    return _build(QuantifierSpec, raw, _QUANTIFIER, "quantifier spec")
 
 
 def parse_kernel_spec(raw) -> KernelSpec:
@@ -250,46 +178,116 @@ def parse_kernel_spec(raw) -> KernelSpec:
         raw = {"kind": raw}
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"kernel spec must name a kind, got {raw!r}")
-    kind = raw["kind"]
-    if kind not in _KERNEL_KEYS:
+    kind = _text(raw["kind"], "kind", "kernel spec")
+    if kind not in _KERNEL:
         raise ConfigError(f"unknown kernel kind {kind!r}")
-    converters = _KERNEL_KEYS[kind]
-    _reject_unknown_keys(raw, ("kind", *converters), f"{kind} kernel spec")
-    return KernelSpec(kind=kind, **{key: convert(raw[key])
-                                    for key, convert in converters.items() if key in raw})
+    return _build(KernelSpec, raw, _KERNEL[kind], f"{kind} kernel spec")
 
 
-@_wrong_types_are_config_errors
-def parse_quantifier_spec(raw: dict) -> QuantifierSpec:
+def check_seed(seed: int, what: str) -> int:
+    """`seed`; ConfigError naming `what` if it is negative, which no numpy
+    random generator takes."""
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _build(cls, raw, keys: dict, what: str, **given):
+    """`cls` built from the config section `raw`, a mapping (null: an empty one)
+    whose keys must all be in the table `keys`, named `what` in messages. Each
+    value other than null goes through its key's converter; a key whose
+    converter is None is read by the caller, which passes its fields in `given`.
+    A field set by neither keeps its dataclass default; a required one is a
+    ConfigError."""
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
-        raise ConfigError(f"quantifier spec must be a mapping, got {raw!r}")
-    _reject_unknown_keys(raw, _QUANTIFIER_KEYS, "quantifier spec")
-    return QuantifierSpec(
-        base=raw.get("base", "acc"),
-        probabilistic=bool(raw.get("probabilistic", False)),
-        nacc=bool(raw.get("nacc", False)),
-        kernel_q=parse_kernel_spec(raw.get("kernel_q")),
-        kernel_p=parse_kernel_spec(raw.get("kernel_p")))
+        raise ConfigError(f"{what} must be a mapping")
+    unknown = sorted(str(k) for k in raw if k not in keys)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {what} "
+                          f"(allowed: {', '.join(sorted(keys))})")
+    fields = dict(given)
+    fields.update((key, keys[key](value, key, what)) for key, value in raw.items()
+                  if value is not None and keys[key] is not None)
+    for field in dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ():
+        if field.default is dataclasses.MISSING and field.name not in fields:
+            raise ConfigError(f"{what} is missing required key {field.name!r}")
+    return cls(**fields)
 
 
-def _parse_quantifier(raw: dict, index: int) -> QuantifierConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"quantifier #{index} must be a mapping")
-    spec = parse_quantifier_spec(raw)
-    return QuantifierConfig(name=raw.get("name", spec.name), spec=spec)
+# Converters: each maps a value of the parsed YAML, its key and its section to
+# the field's value, or raises a ConfigError naming the key. None of them
+# rounds a number, reads a bool as a number or a number as a bool, or parses text.
+def _typed(expected: str, accepts, convert):
+    def converter(value, key, what):
+        if not accepts(value):
+            raise ConfigError(f"{key} in {what} is of the wrong type: expected {expected}, "
+                              f"got {value!r}")
+        return convert(value)
+    return converter
 
 
-def _parse_shift(raw: dict, index: int) -> ShiftConfig:
-    _section(raw, _SHIFT_KEYS, f"shift #{index}")
-    kind = raw.get("kind")
-    if kind not in ("pps", "bfs", "rw"):
-        raise ConfigError(f"shift #{index}: unknown kind {kind!r}")
-    num_dists = raw.get("num_dists")
-    return ShiftConfig(
-        name=raw.get("name", kind), kind=kind,
-        n=int(raw.get("n", shift.DEFAULT_SAMPLE_SIZE)),
-        num_dists=None if num_dists is None else int(num_dists),
-        zipf_exponent=float(raw.get("zipf_exponent", shift.DEFAULT_ZIPF_EXPONENT)),
-        seeds_per_label=int(raw.get("seeds_per_label", shift.DEFAULT_SEEDS_PER_LABEL)),
-        walk_len=int(raw.get("walk_len", shift.DEFAULT_RW_WALK_LEN)),
-        alpha=float(raw.get("alpha", shift.DEFAULT_RW_ALPHA)))
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_integer = _typed("an integer", lambda v: _is_number(v) and (
+    isinstance(v, numbers.Integral) or float(v).is_integer()), int)
+_number = _typed("a number", _is_number, float)
+_flag = _typed("true or false", lambda v: isinstance(v, bool), bool)
+_text = _typed("text", lambda v: isinstance(v, str), str)
+_sequence = _typed("a list", lambda v: isinstance(v, (list, tuple)), tuple)
+
+
+def _list(item, name: str = "{key}[{i}]"):
+    """A converter for a list: the tuple of its items, item i converted by
+    `item` under the key `name` formats."""
+    def converter(value, key, what):
+        return tuple(item(v, name.format(key=key, i=i), what)
+                     for i, v in enumerate(_sequence(value, key, what)))
+    return converter
+
+
+def _section(cls, keys: dict):
+    """A converter for a nested section, built as `cls` and named by its key."""
+    return lambda value, key, what: _build(cls, value, keys, key)
+
+
+def _seed(value, key, what) -> int:
+    return check_seed(_integer(value, key, what), f"{key} in {what}")
+
+
+def _kernel(value, key, what) -> KernelSpec:
+    return parse_kernel_spec(value)
+
+
+def _quantifier(value, key, what) -> QuantifierConfig:
+    # the spec's keys are read by parse_quantifier_spec
+    return _build(QuantifierConfig, value, {**dict.fromkeys(_QUANTIFIER), "name": _text},
+                  key, spec=parse_quantifier_spec(value))
+
+
+# the keys each section takes, and their converters
+_SBM = {"blocks": _list(_integer), "p_in": _number, "p_out": _number,
+        "block_labels": _list(_integer), "seed": _seed}
+_DATASET = {"name": _text, "edges": _text, "labels": _text, "features": _text,
+            "sbm": _section(SbmParams, _SBM)}
+_SPLIT = {"fractions": _list(_number)}
+_CLASSIFIER = {"name": _text, "kind": _text, "iterations": _integer, "damping": _number,
+               "path": _text}
+# "name" names the config's quantifier, not the spec
+_QUANTIFIER = {"name": None, "base": _text, "probabilistic": _flag, "nacc": _flag,
+               "kernel_q": _kernel, "kernel_p": _kernel}
+_SHIFT = {"name": _text, "kind": _text, "n": _integer, "num_dists": _integer,
+          "zipf_exponent": _number, "seeds_per_label": _integer, "walk_len": _integer,
+          "alpha": _number}
+# "split" is read by parse_config
+_TOP = {"dataset": _section(DatasetConfig, _DATASET), "split": None,
+        "classifiers": _list(_section(ClassifierConfig, _CLASSIFIER), "classifier #{i}"),
+        "quantifiers": _list(_quantifier, "quantifier #{i}"),
+        "shifts": _list(_section(ShiftConfig, _SHIFT), "shift #{i}"),
+        "repetitions": _integer, "seed": _seed, "output": _text}
+_KERNEL = {kernels.CONSTANT: {"kind": _text},
+           kernels.PPR: {"kind": _text, "alpha": _number, "walk_len": _integer, "interp": _number},
+           kernels.SHORTEST_PATH: {"kind": _text, "gamma": _number},
+           kernels.FEATURE: {"kind": _text}}

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import enq_predict, label_prop_predict, load_predictions
-from .config import (ENQ, EXTERNAL, LABEL_PROP, ClassifierConfig, ExperimentConfig)
-from .errors import ConfigError, DataError, GraphQuantError
+from .config import ENQ, LABEL_PROP, ClassifierConfig, ExperimentConfig
+from .errors import DataError, GraphQuantError
 from .graph import Graph, check_vertex_ids, load_graph, read_text
 from .quantifiers import quantify_batch
 from .shift import (ShiftSample, generate_sbm, sample_bfs, sample_pps, sample_rw,
@@ -190,9 +190,7 @@ def fit_classifier(cfg: ClassifierConfig, g: Graph, train_vertices, train_labels
     if cfg.kind == LABEL_PROP:
         return label_prop_predict(g, train_vertices, train_labels,
                                   iterations=cfg.iterations, damping=cfg.damping)
-    if cfg.kind == EXTERNAL:
-        return load_predictions(cfg.path, g.n, g.num_classes)
-    raise ConfigError(f"unknown classifier kind {cfg.kind!r}")
+    return load_predictions(cfg.path, g.n, g.num_classes)  # EXTERNAL, as ClassifierConfig checks
 
 
 def draw_samples(shift_cfg, g: Graph, pool_vertices, pool_labels, seed: int,
@@ -207,12 +205,10 @@ def draw_samples(shift_cfg, g: Graph, pool_vertices, pool_labels, seed: int,
         return sample_bfs(g, pool_vertices, pool_labels,
                           seeds_per_label=shift_cfg.seeds_per_label, n=shift_cfg.n,
                           seed=seed, num_classes=num_classes)
-    if shift_cfg.kind == "rw":
-        return sample_rw(g, pool_vertices, pool_labels,
-                         seeds_per_label=shift_cfg.seeds_per_label, n=shift_cfg.n,
-                         walk_len=shift_cfg.walk_len, alpha=shift_cfg.alpha,
-                         seed=seed, num_classes=num_classes)
-    raise ConfigError(f"unknown shift kind {shift_cfg.kind!r}")
+    return sample_rw(g, pool_vertices, pool_labels,  # "rw", as ShiftConfig checks
+                     seeds_per_label=shift_cfg.seeds_per_label, n=shift_cfg.n,
+                     walk_len=shift_cfg.walk_len, alpha=shift_cfg.alpha,
+                     seed=seed, num_classes=num_classes)
 
 
 def run_experiment(cfg: ExperimentConfig, write_csv: bool = True) -> list[ResultRow]:

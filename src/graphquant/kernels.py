@@ -100,10 +100,16 @@ def ppr_matrix_rows(abar: sp.csr_matrix, rows: np.ndarray, dists: np.ndarray,
                     alpha: float, walk_len: int) -> np.ndarray:
     """(Pi D)[rows] for the walk matrix Pi = (alpha*I + (1-alpha)*Abar)^walk_len,
     by walk_len sparse x dense steps on D itself (Kepner & Gilbert 2011), so
-    neither Pi nor its rows are formed. `abar` is normalized_adjacency_sparse."""
-    x = dists
+    neither Pi nor its rows are formed. `abar` is normalized_adjacency_sparse.
+    Each step adds (1-alpha)*(Abar x) to alpha*x in one buffer kept across the
+    steps; `dists` itself is never written to."""
+    x, walked = dists, np.empty(dists.shape)
     for _ in range(walk_len):
-        x = alpha * x + (1.0 - alpha) * (abar @ x)
+        step = abar @ x
+        step *= 1.0 - alpha
+        np.multiply(x, alpha, out=walked)
+        walked += step
+        x = walked
     return x[rows]
 
 

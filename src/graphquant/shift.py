@@ -308,8 +308,9 @@ def generate_sbm(blocks, p_in: float, p_out: float, block_labels=None, seed: int
         raise ConfigError("p_in and p_out must be in [0,1]")
     if block_labels is None:
         block_labels = list(range(len(blocks)))
-    if len(block_labels) != len(blocks):
-        raise ConfigError("block_labels must match the number of blocks")
+    if len(block_labels) != len(blocks) or min(block_labels) < 0:
+        raise ConfigError(f"block_labels must be one non-negative label per block, "
+                          f"got {block_labels}")
     n = sum(blocks)
     offsets = np.cumsum([0] + blocks)
     labels = np.concatenate([np.full(b, lab, dtype=np.int64)

@@ -443,6 +443,47 @@ class TestExitCodes:
             args += ["--out", tmp_path / "out"]
         assert run(command, *args) == 1
 
+    @pytest.mark.parametrize("change,key", [
+        ({"shifts": [{"kind": "pps", "n": 10.9}]}, "n in shift #0"),
+        ({"repetitions": 2.5}, "repetitions in config"),
+        ({"seed": 7.9}, "seed in config"),
+        ({"sbm": {"blocks": [30.7, 30]}}, "blocks[0] in sbm"),
+        ({"sbm": {"block_labels": [0.5, 1]}}, "block_labels[0] in sbm"),
+        ({"sbm": {"block_labels": [0, "a"]}}, "block_labels[1] in sbm"),
+        ({"sbm": {"block_labels": [0, -1]}}, "block_labels"),
+        ({"sbm": {"p_in": True}}, "p_in in sbm"),
+        ({"quantifiers": [{"base": "acc", "nacc": "false"}]}, "nacc in quantifier spec"),
+        ({"quantifiers": [{"base": "acc", "probabilistic": "no"}]},
+         "probabilistic in quantifier spec"),
+        ({"quantifiers": [{"base": "acc", "kernel_q": {"kind": "ppr", "walk_len": 2.5}}]},
+         "walk_len in ppr kernel spec"),
+        ({"classifiers": 5}, "classifiers in config"),
+        ({"shifts": 5}, "shifts in config"),
+        ({"classifiers": [{"kind": "label_prop", "iterations": -1}]}, "iterations"),
+        ({"classifiers": [{"kind": "label_prop", "damping": 1.5}]}, "damping"),
+    ])
+    def test_setting_of_wrong_type_or_range_is_one_naming_the_key(self, tmp_path, capsys,
+                                                                 change, key):
+        # the first ten ran with a truncated or flipped setting (a block label of -1
+        # exited 2, of "a" 3), and a negative iteration count exited 2
+        cfg = {"dataset": {"sbm": {"blocks": [30, 30], "p_in": 0.2, "p_out": 0.02}},
+               "classifiers": [{"kind": "enq"}], "quantifiers": [{"base": "acc"}],
+               "shifts": [{"kind": "pps", "n": 5}], "output": str(tmp_path / "results.csv")}
+        cfg["dataset"]["sbm"].update(change.pop("sbm", {}))
+        cfg.update(change)
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(cfg))
+        assert run("experiment", "--config", tmp_path / "config.yaml") == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [["--iterations", -1], ["--damping", 1.5]])
+    def test_label_prop_setting_out_of_range_is_one(self, tmp_path, setting, capsys):
+        # each exited 2, as if the data were at fault
+        edges, labels = make_graph_files(tmp_path)
+        assert run("split", "--edges", edges, "--labels", labels, "--out", tmp_path / "s.csv") == 0
+        assert run("classify", "--edges", edges, "--labels", labels, "--split", tmp_path / "s.csv",
+                   "--variant", "label-prop", *setting, "--out", tmp_path / "p.csv") == 1
+        assert setting[0][2:] in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["edges", "labels", "features", "split", "preds",
                                       "samples", "test ids", "results"])
     def test_file_that_is_not_utf8_is_two(self, tmp_path, kind, capsys):

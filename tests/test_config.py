@@ -119,6 +119,11 @@ class TestExperimentConfigKeys:
         with pytest.raises(ConfigError, match="must be a mapping"):
             parse_config(minimal_config(**raw))
 
+    def test_whole_number_float_accepted_as_integer(self):
+        cfg = parse_config(minimal_config(shifts=[{"kind": "pps", "n": 100.0}], repetitions=2.0))
+        assert cfg.shifts[0].n == 100 and type(cfg.shifts[0].n) is int
+        assert cfg.repetitions == 2 and type(cfg.repetitions) is int
+
     def test_every_documented_key_accepted(self):
         raw = minimal_config(
             dataset={"name": "d", "sbm": {"blocks": [10, 10], "p_in": 0.3, "p_out": 0.05,

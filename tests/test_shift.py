@@ -408,6 +408,12 @@ class TestSbm:
         with pytest.raises(ConfigError, match="non-negative sizes"):
             generate_sbm(blocks, 0.3, 0.05, seed=1)
 
+    @pytest.mark.parametrize("block_labels", [[0, -1], [0]])
+    def test_negative_or_missing_block_label_rejected(self, block_labels):
+        # a negative label reached Graph and was a data error
+        with pytest.raises(ConfigError, match="one non-negative label per block"):
+            generate_sbm([3, 3], 0.3, 0.05, block_labels=block_labels, seed=1)
+
     def test_disjoint_triangles(self):
         g = generate_sbm([3, 3], 1.0, 0.0, seed=0)
         assert g.num_edges == 6
