@@ -12,35 +12,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .estimation import PredictionSet
-from .graph import Graph, check_vertex_ids, read_table, read_text
+from .graph import Graph, check_count, check_label_array, check_vertex_ids, read_table, read_text
 
 DEFAULT_LP_ITERATIONS = 50
 DEFAULT_LP_DAMPING = 0.85
-
-
-def _infer_num_classes(g: Graph, labels, num_classes):
-    if num_classes is not None:
-        return int(num_classes)
-    if g.labels is not None:
-        return g.num_classes
-    return int(np.max(labels, initial=-1)) + 1
-
-
-def check_label_array(vertices, labels, what: str = "train") -> np.ndarray:
-    """The labels of the given vertices as an int64 array, checked at the
-    boundary: one non-negative integer label per vertex. Raises DataError
-    otherwise, so no label broadcasts, truncates or wraps around; `what` names
-    the vertex set in the message."""
-    labels = np.asarray(labels)
-    if labels.shape != (len(vertices),):
-        raise DataError(f"expected one {what} label per {what} vertex ({len(vertices)}), "
-                        f"got shape {labels.shape}")
-    if labels.size and labels.dtype.kind not in "iu":
-        raise DataError(f"{what} labels must be integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64, copy=False)
-    if labels.size and labels.min() < 0:
-        raise DataError(f"{what} label out of range: {labels.min()} is negative")
-    return labels
 
 
 def check_labels(g: Graph, vertices: np.ndarray, labels, num_classes=None,
@@ -49,7 +24,10 @@ def check_labels(g: Graph, vertices: np.ndarray, labels, num_classes=None,
     label is below it. K is `num_classes`, else the graph's class count, else
     the largest label + 1."""
     labels = check_label_array(vertices, labels, what)
-    K = _infer_num_classes(g, labels, num_classes)
+    if num_classes is not None:
+        K = check_count(num_classes, "num_classes")
+    else:
+        K = g.num_classes if g.labels is not None else int(np.max(labels, initial=-1)) + 1
     if labels.size and labels.max() >= K:
         raise DataError(f"{what} label out of range for K={K}")
     return labels, K
@@ -94,8 +72,7 @@ def label_prop_predict(g: Graph, train_vertices, train_labels,
         raise DataError("label propagation needs a non-empty training set")
     if not 0.0 < damping < 1.0:
         raise ConfigError(f"label propagation damping must be in (0,1), got {damping}")
-    if iterations < 0:
-        raise ConfigError(f"label propagation iterations must be >= 0, got {iterations}")
+    iterations = check_count(iterations, "label propagation iterations")
     train_labels, K = check_labels(g, train_vertices, train_labels, num_classes)
 
     init = np.full((g.n, K), 1.0 / K)
@@ -135,12 +112,12 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
         raise _prediction_shape_error(path, text, n, K)
     # checked here, so the PredictionSet is built without checking it again
     if hard:
-        return PredictionSet(K=int(K), hard=values.ravel())
+        return PredictionSet(K=K, hard=values.ravel())
     sums = values.sum(axis=1)
     renorm = np.abs(sums - 1.0) > 1e-12
     values[renorm] /= sums[renorm, None]
     # ties to the lowest index, as in PredictionSet.from_soft
-    return PredictionSet(K=int(K), hard=np.argmax(values, axis=1), soft=values)
+    return PredictionSet(K=K, hard=np.argmax(values, axis=1), soft=values)
 
 
 def _rules_pass(table: np.ndarray, K: int) -> bool:

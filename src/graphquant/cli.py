@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-graph, split, sample-shift, classify, quantify, experiment,
-aggregate. Exit codes: 0 success, 1 configuration error, 2 data error,
-3 internal error.
+aggregate. Exit codes: 0 success, 1 configuration error (a usage error too),
+2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import config as config_mod
 from . import harness
 from .classifiers import load_predictions, save_predictions
 from .config import (DEFAULT_FRACTIONS, DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS,
-                     check_seed, load_config, load_yaml, parse_quantifier_spec)
+                     load_config, load_yaml, parse_quantifier_spec)
 from .errors import ConfigError, DataError
 from .graph import Graph, check_vertex_ids, guarded_loadtxt, load_graph, read_text, save_graph
 from .quantifiers import quantify
@@ -120,16 +120,15 @@ def cmd_gen_graph(args) -> int:
     g = generate_sbm(_numbers(args.blocks, int, "--blocks"), args.p_in, args.p_out,
                      block_labels=(_numbers(args.block_labels, int, "--block-labels")
                                    if args.block_labels else None),
-                     seed=check_seed(args.seed, "--seed"))
+                     seed=args.seed)
     save_graph(g, args.out_edges, labels_path=args.out_labels)
     print(f"wrote {g.n} vertices, {g.num_edges} edges")
     return 0
 
 
 def cmd_split(args) -> int:
-    seed = check_seed(args.seed, "--seed")
     g = _load_graph_args(args)
-    split = uniform_split(g, _numbers(args.fractions, float, "--fractions"), seed=seed)
+    split = uniform_split(g, _numbers(args.fractions, float, "--fractions"), seed=args.seed)
     save_split(split, args.out)
     sizes = [len(split.classifier_train), len(split.quantifier_train), len(split.test)]
     print(f"split sizes: {sizes}")
@@ -137,7 +136,6 @@ def cmd_split(args) -> int:
 
 
 def cmd_sample_shift(args) -> int:
-    seed = check_seed(args.seed, "--seed")
     g = _load_graph_args(args)
     if g.labels is None:
         raise DataError("shift sampling needs a labels file")
@@ -147,7 +145,7 @@ def cmd_sample_shift(args) -> int:
         kind=args.kind, n=args.n, num_dists=args.num_dists, zipf_exponent=args.zipf_exponent,
         seeds_per_label=args.seeds_per_label, walk_len=args.walk_len, alpha=args.alpha)
     samples = harness.draw_samples(shift_cfg, g, pool, g.labels[pool],
-                                   seed=seed, num_classes=g.num_classes)
+                                   seed=args.seed, num_classes=g.num_classes)
     save_samples(samples, args.out)
     write_manifest(samples, args.manifest, args.out)
     print(f"wrote {len(samples)} samples")
@@ -225,11 +223,18 @@ def _add_graph_args(p, features=True):
         p.set_defaults(features=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as ConfigError (exit 1): argparse's exit 2 means a data error here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(prog="graphquant",
-                                     description="Graph quantification toolkit")
+    parser = _Parser(prog="graphquant", description="Graph quantification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="generate a planted-partition graph")
@@ -302,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ import yaml
 from . import kernels, shift
 from .classifiers import DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS
 from .errors import ConfigError
-from .graph import read_text
+from .graph import check_count, is_whole, read_text
 from .kernels import KernelSpec
 from .quantifiers import QuantifierSpec
 
@@ -117,8 +117,8 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one shift spec")
         if len(self.classifiers) == 0:
             raise ConfigError("config needs at least one classifier")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        object.__setattr__(self, "repetitions", check_count(self.repetitions, "repetitions", 1))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed in config"))
         if len(self.fractions) != 3:
             raise ConfigError(f"split fractions must have 3 entries, got {self.fractions}")
         names = [q.name for q in self.quantifiers]
@@ -184,14 +184,6 @@ def parse_kernel_spec(raw) -> KernelSpec:
     return _build(KernelSpec, raw, _KERNEL[kind], f"{kind} kernel spec")
 
 
-def check_seed(seed: int, what: str) -> int:
-    """`seed`; ConfigError naming `what` if it is negative, which no numpy
-    random generator takes."""
-    if seed < 0:
-        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
-    return seed
-
-
 def _build(cls, raw, keys: dict, what: str, **given):
     """`cls` built from the config section `raw`, a mapping (null: an empty one)
     whose keys must all be in the table `keys`, named `what` in messages. Each
@@ -227,13 +219,9 @@ def _typed(expected: str, accepts, convert):
     return converter
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-_integer = _typed("an integer", lambda v: _is_number(v) and (
-    isinstance(v, numbers.Integral) or float(v).is_integer()), int)
-_number = _typed("a number", _is_number, float)
+_integer = _typed("an integer", is_whole, int)
+_number = _typed("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                 float)
 _flag = _typed("true or false", lambda v: isinstance(v, bool), bool)
 _text = _typed("text", lambda v: isinstance(v, str), str)
 _sequence = _typed("a list", lambda v: isinstance(v, (list, tuple)), tuple)
@@ -253,10 +241,6 @@ def _section(cls, keys: dict):
     return lambda value, key, what: _build(cls, value, keys, key)
 
 
-def _seed(value, key, what) -> int:
-    return check_seed(_integer(value, key, what), f"{key} in {what}")
-
-
 def _kernel(value, key, what) -> KernelSpec:
     return parse_kernel_spec(value)
 
@@ -269,7 +253,7 @@ def _quantifier(value, key, what) -> QuantifierConfig:
 
 # the keys each section takes, and their converters
 _SBM = {"blocks": _list(_integer), "p_in": _number, "p_out": _number,
-        "block_labels": _list(_integer), "seed": _seed}
+        "block_labels": _list(_integer), "seed": _integer}
 _DATASET = {"name": _text, "edges": _text, "labels": _text, "features": _text,
             "sbm": _section(SbmParams, _SBM)}
 _SPLIT = {"fractions": _list(_number)}
@@ -286,7 +270,7 @@ _TOP = {"dataset": _section(DatasetConfig, _DATASET), "split": None,
         "classifiers": _list(_section(ClassifierConfig, _CLASSIFIER), "classifier #{i}"),
         "quantifiers": _list(_quantifier, "quantifier #{i}"),
         "shifts": _list(_section(ShiftConfig, _SHIFT), "shift #{i}"),
-        "repetitions": _integer, "seed": _seed, "output": _text}
+        "repetitions": _integer, "seed": _integer, "output": _text}
 _KERNEL = {kernels.CONSTANT: {"kind": _text},
            kernels.PPR: {"kind": _text, "alpha": _number, "walk_len": _integer, "interp": _number},
            kernels.SHORTEST_PATH: {"kind": _text, "gamma": _number},

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph
+from .graph import Graph, check_count, check_label_array
 
 HARD = "hard"
 SOFT = "soft"
@@ -31,15 +31,16 @@ class PredictionSet:
     soft: np.ndarray | None = None  # float64, shape (n, K), rows on the simplex
 
     def __post_init__(self):
+        object.__setattr__(self, "K", check_count(self.K, "prediction set K"))
         if self.hard is None and self.soft is None:
             raise DataError("prediction set needs hard labels or probabilities")
 
     @classmethod
     def from_hard(cls, labels, K: int) -> "PredictionSet":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size and (labels.min() < 0 or labels.max() >= K):
-            raise DataError(f"hard label out of range for K={K}")
-        return cls(K=int(K), hard=labels)
+        preds = cls(K=K, hard=check_label_array(None, labels, "hard"))
+        if preds.n and preds.hard.max() >= preds.K:
+            raise DataError(f"hard label out of range for K={preds.K}")
+        return preds
 
     @classmethod
     def from_soft(cls, probs) -> "PredictionSet":

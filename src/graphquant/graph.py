@@ -7,6 +7,7 @@ lists sorted ascending, no duplicates and no self-loops.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+
+MAX_VERTICES = 2 ** 31  # from_edges keys an edge as u << 32 | v in one int64
 
 
 @dataclass(frozen=True)
@@ -28,25 +31,32 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges, labels=None, features=None) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs.
+        """Build a graph from an iterable of (u, v) pairs of vertex ids, which
+        check_vertex_ids checks against n.
 
         Self-loops are dropped; duplicate and reversed pairs collapse to a
         single undirected edge.
         """
-        edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                           dtype=np.int64)
-        if edges.size == 0:
-            edges = edges.reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2:
+        n = check_count(n, "vertex count")
+        if n > MAX_VERTICES:
+            raise DataError(f"{n} vertices exceed the vertex limit of 2**31")
+        edges = _as_array(edges if isinstance(edges, np.ndarray) else list(edges))
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise DataError("edge array must have shape (m, 2)")
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise DataError(f"edge endpoint out of range for n={n}")
+        edges = check_vertex_ids(edges.reshape(-1), n, "edge endpoints").reshape(-1, 2)
+        if labels is not None:
+            labels = check_label_array(range(n), labels, "graph")
+            if n and labels.max() < 1:
+                raise DataError("labeled graphs need at least 2 classes")
+        if features is not None:
+            features = np.asarray(features, dtype=np.float64)
+            if features.ndim != 2 or features.shape[0] != n:
+                raise DataError(f"features must have {n} rows, got shape {features.shape}")
         loops = edges[:, 0] == edges[:, 1]
         if loops.any():
             edges = edges[~loops]
-        # one int64 key u << 32 | v per direction (ids stay below 2**31: the indptr of
-        # a larger graph alone would take 16 GiB); sorted, so rows come out grouped
-        # by u with ascending neighbors, and duplicates are adjacent
+        # one int64 key u << 32 | v per direction (ids stay below MAX_VERTICES); sorted,
+        # so rows come out grouped by u with ascending neighbors, and duplicates are adjacent
         m = len(edges)
         keys = np.empty(2 * m, dtype=np.int64)
         forward, reverse = keys[:m], keys[m:]
@@ -59,10 +69,8 @@ class Graph:
         if repeated.any():
             keys = keys[np.concatenate([[True], ~repeated])]
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
-        return cls(n=int(n), indptr=indptr.astype(np.int64, copy=False),
-                   indices=keys & 0xFFFFFFFF,
-                   labels=_validate_labels(labels, n),
-                   features=_validate_features(features, n))
+        return cls(n=n, indptr=indptr.astype(np.int64, copy=False), indices=keys & 0xFFFFFFFF,
+                   labels=labels, features=features)
 
     @property
     def num_edges(self) -> int:
@@ -96,7 +104,7 @@ def check_vertex_ids(ids, n: int, what: str, nonempty: bool = False) -> np.ndarr
     integer (or a string that spells one) in 0..n-1, and the list must not be
     empty when `nonempty` is set. Raises DataError naming `what` otherwise, so
     no id wraps around or fails later as an index."""
-    arr = np.asarray(ids)
+    arr = _as_array(ids)
     if arr.size == 0:
         if nonempty:
             raise DataError(f"{what}: no vertex ids")
@@ -119,26 +127,51 @@ def check_vertex_ids(ids, n: int, what: str, nonempty: bool = False) -> np.ndarr
     return arr.astype(np.int64, copy=False)
 
 
-def _validate_labels(labels, n):
-    if labels is None:
-        return None
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise DataError(f"labels must have length {n}, got {labels.shape}")
-    if n and labels.min() < 0:
-        raise DataError("labels must be non-negative")
-    if n and labels.max() < 1:
-        raise DataError("labeled graphs need at least 2 classes")
+def check_label_array(vertices, labels, what: str = "train") -> np.ndarray:
+    """The labels of the given vertices as an int64 array, checked at the boundary:
+    one non-negative integer label per vertex (`vertices` None: a flat list of
+    labels). Raises DataError otherwise, so no label broadcasts, truncates or
+    wraps around; `what` names the vertex set in the message."""
+    labels = _as_array(labels)
+    count = labels.size if vertices is None else len(vertices)
+    if labels.shape != (count,):
+        raise DataError(f"expected one {what} label per {what} vertex ({count}), "
+                        f"got shape {labels.shape}")
+    if labels.size and labels.dtype.kind not in "iu":
+        raise DataError(f"{what} labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
+    if labels.size and labels.min() < 0:
+        raise DataError(f"{what} label out of range: {labels.min()} is negative")
     return labels
 
 
-def _validate_features(features, n):
-    if features is None:
-        return None
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != n:
-        raise DataError(f"features must have {n} rows, got shape {features.shape}")
-    return features
+def _as_array(values) -> np.ndarray:
+    """`values` as an array; a list that mixes bools into its integers, which
+    numpy reads as 0 and 1, as an array of objects, which the checks reject."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" and not isinstance(values, np.ndarray):
+        objects = np.asarray(values, dtype=object)
+        if any(isinstance(x, (bool, np.bool_)) for x in objects.flat):
+            return objects
+    return arr
+
+
+def is_whole(value) -> bool:
+    """Whether `value` is an integer or a float (or fraction) that holds one exactly;
+    a bool is neither."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral)
+                 or float(value).is_integer() and value == int(value)))
+
+
+def check_count(value, what: str, minimum: int = 0) -> int:
+    """`value`, a count, size, seed or iteration number, as an int: an integer
+    or a float that holds one (as YAML reads `100.0`), at least `minimum`.
+    Raises ConfigError naming `what` otherwise, so no bool, fraction, NaN or
+    infinity is truncated or fails later inside numpy."""
+    if not is_whole(value) or value < minimum:
+        raise ConfigError(f"{what} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def load_graph(edge_path, labels_path=None, features_path=None) -> Graph:
@@ -153,10 +186,8 @@ def load_graph(edge_path, labels_path=None, features_path=None) -> Graph:
     """
     edges = _parse_edge_file(edge_path)
     labels = _parse_labels_file(labels_path) if labels_path is not None else None
-    max_id = int(edges.max()) if edges.size else -1
-    n = len(labels) if labels is not None else max_id + 1
-    if max_id >= n:
-        raise DataError(f"edge endpoint {max_id} out of range for n={n}")
+    # Graph.from_edges checks the ids against n
+    n = len(labels) if labels is not None else int(edges.max(initial=-1)) + 1
     features = _parse_features_file(features_path, n) if features_path is not None else None
     return Graph.from_edges(n, edges, labels=labels, features=features)
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .graph import Graph, bfs_distances, check_vertex_ids
+from .graph import Graph, bfs_distances, check_count, check_vertex_ids
 
 DEFAULT_ALPHA = 0.1       # teleport probability per walk step
 DEFAULT_WALK_LEN = 10     # number of walk steps
@@ -51,8 +51,7 @@ class KernelSpec:
         if self.kind == PPR:
             if not 0.0 < self.alpha < 1.0:
                 raise ConfigError(f"ppr alpha must be in (0,1), got {self.alpha}")
-            if self.walk_len < 1:
-                raise ConfigError(f"ppr walk_len must be >= 1, got {self.walk_len}")
+            object.__setattr__(self, "walk_len", check_count(self.walk_len, "ppr walk_len", 1))
             if not 0.0 <= self.interp <= 1.0:
                 raise ConfigError(f"ppr interp must be in [0,1], got {self.interp}")
         if self.kind == SHORTEST_PATH and self.gamma <= 0.0:

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import check_label_array, check_labels
+from .classifiers import check_labels
 from .errors import ConfigError, DataError
-from .graph import Graph, check_vertex_ids, read_text
+from .graph import Graph, check_count, check_label_array, check_vertex_ids, read_text
 
 DEFAULT_SAMPLE_SIZE = 100
 DEFAULT_SEEDS_PER_LABEL = 10
@@ -70,7 +70,7 @@ def uniform_split(g: Graph, fractions, seed: int) -> SplitSpec:
         raise ConfigError(f"fractions must be three finite non-negatives summing to 1, "
                           f"got {fractions}")
     sizes = largest_remainder_counts(g.n, fractions)
-    perm = np.random.default_rng(seed).permutation(g.n)
+    perm = np.random.default_rng(check_count(seed, "split seed")).permutation(g.n)
     c, q = sizes[0], sizes[0] + sizes[1]
     return SplitSpec(classifier_train=np.sort(perm[:c]),
                      quantifier_train=np.sort(perm[c:q]),
@@ -112,11 +112,12 @@ def sample_pps(pool_vertices, pool_labels, num_classes: int, num_dists=None,
     pool_labels = check_label_array(pool_vertices, pool_labels, what="pool")
     if len(pool_vertices) == 0:
         raise DataError("PPS sampling needs a non-empty pool")
-    if num_dists is None:
-        num_dists = 10 * num_classes
-    if n < 1 or num_dists < 1:
-        raise ConfigError(f"PPS sampling needs n >= 1 and num_dists >= 1, "
-                          f"got n={n}, num_dists={num_dists}")
+    num_classes = check_count(num_classes, "PPS sampling num_classes", 1)
+    sizes = "PPS sampling (n >= 1 and num_dists >= 1)"
+    n = check_count(n, f"{sizes}: n", 1)
+    num_dists = check_count(10 * num_classes if num_dists is None else num_dists,
+                            f"{sizes}: num_dists", 1)
+    seed = check_count(seed, "PPS sampling seed")
     base = zipf_distribution(num_classes, zipf_exponent)
     by_class = [pool_vertices[pool_labels == i] for i in range(num_classes)]
     capacity = np.asarray([len(c) for c in by_class])
@@ -166,13 +167,14 @@ def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
     """The start-vertex loop shared by the BFS and RW samplers: per label, pick
     up to seeds_per_label start vertices of that label from the pool, and build
     one sample of up to n vertices from each with
-    collect(in_pool, start, rng) -> (vertices, flagged).
+    collect(in_pool, start, n, rng) -> (vertices, flagged).
 
     Labels absent from the pool are skipped with a warning.
     """
-    if n < 1 or seeds_per_label < 1:
-        raise ConfigError(f"{sampler.upper()} sampling needs n >= 1 and seeds_per_label >= 1, "
-                          f"got n={n}, seeds_per_label={seeds_per_label}")
+    sizes = f"{sampler.upper()} sampling (n >= 1 and seeds_per_label >= 1)"
+    n = check_count(n, f"{sizes}: n", 1)
+    seeds_per_label = check_count(seeds_per_label, f"{sizes}: seeds_per_label", 1)
+    seed = check_count(seed, f"{sampler.upper()} sampling seed")
     pool_vertices = check_vertex_ids(pool_vertices, g.n, f"{sampler.upper()} sampling pool",
                                      nonempty=True)
     pool_labels, K = check_labels(g, pool_vertices, pool_labels, num_classes, what="pool")
@@ -192,7 +194,7 @@ def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
         for start in starts:
             idx = len(samples)
             rng = np.random.default_rng(np.random.SeedSequence([seed, 1, idx]))
-            collected, flagged = collect(in_pool, int(start), rng)
+            collected, flagged = collect(in_pool, int(start), n, rng)
             samples.append(ShiftSample(
                 vertices=collected, true_prev=_realized_prev(label_lookup[collected], K),
                 sampler=sampler, seed=seed,
@@ -211,7 +213,7 @@ def sample_bfs(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFA
     Samples from components with fewer than n pool vertices are shorter and
     flagged; labels absent from the pool are skipped.
     """
-    def collect(in_pool, start, rng):
+    def collect(in_pool, start, n, rng):
         return _bfs_collect(g, in_pool, start, n, rng)
     return _start_vertex_samples("bfs", g, pool_vertices, pool_labels, seeds_per_label, n, seed,
                                  num_classes, collect, {})
@@ -252,10 +254,9 @@ def sample_rw(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAU
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0,1], got {alpha}")
-    if walk_len < 1:
-        raise ConfigError(f"RW sampling needs walk_len >= 1, got {walk_len}")
+    walk_len = check_count(walk_len, "RW sampling (walk_len >= 1): walk_len", 1)
 
-    def collect(in_pool, start, rng):
+    def collect(in_pool, start, n, rng):
         return _rw_collect(g, in_pool, start, n, walk_len, alpha, rng)
     return _start_vertex_samples("rw", g, pool_vertices, pool_labels, seeds_per_label, n, seed,
                                  num_classes, collect, {"walk_len": walk_len, "alpha": alpha})
@@ -301,21 +302,24 @@ def generate_sbm(blocks, p_in: float, p_out: float, block_labels=None, seed: int
     """Planted-partition random graph: intra-block edges with probability p_in,
     inter-block with p_out; vertex labels follow their block (or an explicit
     block-to-label assignment)."""
-    blocks = [int(b) for b in blocks]
-    if not blocks or min(blocks) < 0:
+    if len(blocks) == 0:
         raise ConfigError(f"blocks must be one or more non-negative sizes, got {blocks}")
+    blocks = [check_count(b, f"blocks (one or more non-negative sizes): blocks[{i}]")
+              for i, b in enumerate(blocks)]
     if not 0.0 <= p_in <= 1.0 or not 0.0 <= p_out <= 1.0:
         raise ConfigError("p_in and p_out must be in [0,1]")
     if block_labels is None:
-        block_labels = list(range(len(blocks)))
-    if len(block_labels) != len(blocks) or min(block_labels) < 0:
+        block_labels = range(len(blocks))
+    if len(block_labels) != len(blocks):
         raise ConfigError(f"block_labels must be one non-negative label per block, "
                           f"got {block_labels}")
+    block_labels = [check_count(y, f"block_labels (one non-negative label per block): "
+                                   f"block_labels[{i}]") for i, y in enumerate(block_labels)]
     n = sum(blocks)
     offsets = np.cumsum([0] + blocks)
     labels = np.concatenate([np.full(b, lab, dtype=np.int64)
                              for b, lab in zip(blocks, block_labels)])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "SBM seed"))
     edge_chunks = []
     for i in range(len(blocks)):
         for j in range(i, len(blocks)):

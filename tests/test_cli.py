@@ -386,6 +386,27 @@ class TestExitCodes:
         edges.write_text("0 not-a-vertex\n")
         assert run("split", "--edges", edges, "--out", tmp_path / "s.csv") == 2
 
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["split"], ["split", "--edges", "e",
+                                                                  "--out", "s", "--bogus"]])
+    def test_usage_error_is_one(self, argv, capsys):
+        # no subcommand, an unknown one, a missing or unknown flag: argparse exited 2
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: graphquant") and "configuration error: " in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--help"])
+        assert exc.value.code == 0 and "--edges" in capsys.readouterr().out
+
+    def test_vertex_id_past_the_vertex_limit_is_two(self, tmp_path, capsys):
+        # without a labels file n is the largest id + 1: this exited 3 with
+        # "MemoryError: Unable to allocate 7.28 TiB"
+        edges = tmp_path / "huge.edges"
+        edges.write_text("0 1\n1000000000000 2\n")
+        assert run("split", "--edges", edges, "--out", tmp_path / "s.csv") == 2
+        assert "vertex limit of 2**31" in capsys.readouterr().err
+
     def test_missing_file_is_two(self, tmp_path):
         assert run("split", "--edges", tmp_path / "nope.edges",
                    "--out", tmp_path / "s.csv") == 2
@@ -419,10 +440,13 @@ class TestExitCodes:
         ("sample-shift", ["--kind", "pps", "--zipf-exponent=-inf"]),
         ("experiment", {"shifts": [{"kind": "pps", "n": 5, "zipf_exponent": float("nan")}]}),
         ("experiment", {"shifts": [{"kind": "pps", "n": 5, "zipf_exponent": -float("inf")}]}),
+        ("split", ["--seed", "abc"]),
+        ("sample-shift", ["--kind", "pps", "--n", "2.5"]),
     ])
     def test_bad_numbers_are_config_errors(self, tmp_path, command, args):
         # each used to exit 3 (internal error), hang, or exit 0 or 2 with a wrong result;
-        # a negative seed and a NaN or -inf Zipf exponent exited 3
+        # a negative seed and a NaN or -inf Zipf exponent exited 3, and a flag argparse
+        # rejects (the last two) exited 2, the code of a data error
         if command == "gen-graph":
             args = args + ["--p-in", "0.3", "--p-out", "0.05", "--out-edges", tmp_path / "e",
                            "--out-labels", tmp_path / "y"]

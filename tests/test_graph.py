@@ -1,13 +1,15 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphquant.errors import DataError
+from graphquant.errors import ConfigError, DataError
 from graphquant.graph import (Graph, _parse_edge_file, _parse_features_file,
-                              _parse_labels_file, bfs_distances, check_vertex_ids,
+                              _parse_labels_file, bfs_distances, check_count, check_vertex_ids,
                               load_graph, save_graph)
 
 
@@ -440,6 +442,53 @@ class TestCheckVertexIds:
         assert check_vertex_ids([], 4, "ids").shape == (0,)
         with pytest.raises(DataError):
             check_vertex_ids([], 4, "ids", nonempty=True)
+
+    def test_bool_among_integers_rejected(self):
+        # numpy reads a list that mixes bools into integers as the integers 0 and 1
+        with pytest.raises(DataError, match="must be integers"):
+            check_vertex_ids([0, True], 4, "ids")
+        with pytest.raises(DataError, match="must be integers"):
+            Graph.from_edges(4, [(0, 1), (1, False)])
+
+
+class TestVertexLimit:
+    def test_more_than_2_to_the_31_vertices_rejected_before_allocating(self):
+        # Graph.from_edges keys an edge as u << 32 | v; 10**12 vertices used to end
+        # in a MemoryError for the n + 1 row offsets
+        with pytest.raises(DataError, match="vertex limit of 2\\*\\*31"):
+            Graph.from_edges(10 ** 12, [(0, 1)])
+
+
+def is_whole_oracle(value) -> bool:
+    """An integer or a finite float or fraction equal to its floor; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        return False
+    return math.isfinite(value) and value == math.floor(value)
+
+
+class TestCheckCount:
+    @given(st.one_of(st.integers(-10 ** 30, 10 ** 30), st.floats(), st.booleans(),
+                     st.fractions(), st.text(max_size=3), st.none(),
+                     st.integers(-5, 5).map(float),
+                     # fractions whose nearest float is a whole number
+                     st.builds(Fraction, st.integers(2 ** 53, 2 ** 64), st.integers(1, 4))),
+           st.integers(-2, 2))
+    def test_accepts_exactly_the_whole_numbers_at_or_above_minimum(self, value, minimum):
+        if is_whole_oracle(value) and value >= minimum:
+            count = check_count(value, "count", minimum)
+            assert type(count) is int and count == value
+        else:
+            with pytest.raises(ConfigError, match="count must be a whole number"):
+                check_count(value, "count", minimum)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), np.float64(3.0)])
+    def test_numpy_scalars_accepted(self, value):
+        assert check_count(value, "count") == 3 and type(check_count(value, "count")) is int
+
+    @pytest.mark.parametrize("value", [np.bool_(True), np.array(3), [3]])
+    def test_numpy_bools_and_arrays_rejected(self, value):
+        with pytest.raises(ConfigError):
+            check_count(value, "count")
 
 
 class TestBfs:
