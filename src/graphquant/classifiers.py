@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .estimation import PredictionSet
-from .graph import Graph, check_count, check_label_array, check_vertex_ids, read_table, read_text
+from .graph import (Graph, check_count, check_label_array, check_probability_rows, check_real,
+                    check_vertex_ids, read_table, read_text)
 
 DEFAULT_LP_ITERATIONS = 50
 DEFAULT_LP_DAMPING = 0.85
@@ -40,9 +41,7 @@ def enq_predict(g: Graph, train_vertices, train_labels, num_classes=None) -> Pre
     Vertices without any labeled neighbor fall back to the global training
     label histogram. Hard labels are the argmax (ties to the lowest index).
     """
-    train_vertices = check_vertex_ids(train_vertices, g.n, "ENQ training vertices")
-    if len(train_vertices) == 0:
-        raise DataError("ENQ needs a non-empty training set")
+    train_vertices = check_vertex_ids(train_vertices, g.n, "ENQ training vertices", nonempty=True)
     train_labels, K = check_labels(g, train_vertices, train_labels, num_classes)
     label_of = np.full(g.n, -1, dtype=np.int64)
     label_of[train_vertices] = train_labels
@@ -67,11 +66,9 @@ def label_prop_predict(g: Graph, train_vertices, train_labels,
     neighbor average with the initial state and renormalizes rows. Zero
     iterations returns the initialization.
     """
-    train_vertices = check_vertex_ids(train_vertices, g.n, "label propagation training vertices")
-    if len(train_vertices) == 0:
-        raise DataError("label propagation needs a non-empty training set")
-    if not 0.0 < damping < 1.0:
-        raise ConfigError(f"label propagation damping must be in (0,1), got {damping}")
+    train_vertices = check_vertex_ids(train_vertices, g.n, "label propagation training vertices",
+                                      nonempty=True)
+    damping = check_real(damping, "label propagation damping", "(0, 1)")
     iterations = check_count(iterations, "label propagation iterations")
     train_labels, K = check_labels(g, train_vertices, train_labels, num_classes)
 
@@ -124,9 +121,11 @@ def _rules_pass(table: np.ndarray, K: int) -> bool:
     """Whether every row of a parsed predictions table passes its row rule."""
     if table.dtype.kind == "i":
         return table.shape[1] == 1 and not ((table < 0) | (table >= K)).any()
-    # a NaN or an infinity fails one of the two comparisons
-    return (table.shape[1] == K and table.min() >= 0
-            and np.abs(table.sum(axis=1) - 1.0).max() <= 1e-6)
+    try:
+        check_probability_rows(table, K, 1e-6)
+    except DataError:
+        return False
+    return True
 
 
 def _hard_row(line: str, K: int) -> tuple[int]:
@@ -143,21 +142,11 @@ def _hard_row(line: str, K: int) -> tuple[int]:
 
 
 def _soft_row(line: str, K: int) -> np.ndarray:
-    toks = line.split(",")
-    if len(toks) != K:
-        raise DataError(f"expected {K} columns, got {len(toks)}")
     try:
-        row = np.asarray([float(t) for t in toks])
+        row = [float(t) for t in line.split(",")]
     except ValueError:
-        raise DataError("non-numeric probability") from None
-    if not np.isfinite(row).all():
-        raise DataError("non-finite probability")
-    if row.min() < 0:
-        raise DataError("negative probability")
-    s = row.sum()
-    if abs(s - 1.0) > 1e-6:
-        raise DataError(f"probabilities sum to {s:.8f}, not 1")
-    return row
+        row = line.split(",")  # text, which the rule rejects after the column count
+    return check_probability_rows([row], K, 1e-6)[0]
 
 
 def _prediction_shape_error(path, text: str, n: int, K: int) -> DataError | None:

@@ -10,7 +10,6 @@ the only defaults.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import yaml
 from . import kernels, shift
 from .classifiers import DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS
 from .errors import ConfigError
-from .graph import check_count, is_whole, read_text
+from .graph import check_count, is_real, is_whole, read_text
 from .kernels import KernelSpec
 from .quantifiers import QuantifierSpec
 
@@ -220,8 +219,7 @@ def _typed(expected: str, accepts, convert):
 
 
 _integer = _typed("an integer", is_whole, int)
-_number = _typed("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-                 float)
+_number = _typed("a number", is_real, float)
 _flag = _typed("true or false", lambda v: isinstance(v, bool), bool)
 _text = _typed("text", lambda v: isinstance(v, str), str)
 _sequence = _typed("a list", lambda v: isinstance(v, (list, tuple)), tuple)

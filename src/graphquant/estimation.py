@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import Graph, check_count, check_label_array
+from .graph import Graph, check_count, check_label_array, check_probability_rows
 
 HARD = "hard"
 SOFT = "soft"
@@ -44,16 +44,7 @@ class PredictionSet:
 
     @classmethod
     def from_soft(cls, probs) -> "PredictionSet":
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 2:
-            raise DataError("soft predictions must be a 2-D array")
-        if not np.isfinite(probs).all():
-            raise DataError("soft predictions must be finite")
-        if probs.size and probs.min() < 0:
-            raise DataError("soft predictions must be non-negative")
-        sums = probs.sum(axis=1)
-        if probs.size and np.abs(sums - 1.0).max() > 1e-9:
-            raise DataError("soft prediction rows must sum to 1")
+        probs = check_probability_rows(probs, None, 1e-9)
         # ties broken to the lowest index by argmax
         return cls(K=probs.shape[1], hard=np.argmax(probs, axis=1), soft=probs)
 

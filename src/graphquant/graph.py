@@ -37,9 +37,7 @@ class Graph:
         Self-loops are dropped; duplicate and reversed pairs collapse to a
         single undirected edge.
         """
-        n = check_count(n, "vertex count")
-        if n > MAX_VERTICES:
-            raise DataError(f"{n} vertices exceed the vertex limit of 2**31")
+        n = check_vertex_total(n)
         edges = _as_array(edges if isinstance(edges, np.ndarray) else list(edges))
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise DataError("edge array must have shape (m, 2)")
@@ -146,22 +144,26 @@ def check_label_array(vertices, labels, what: str = "train") -> np.ndarray:
 
 
 def _as_array(values) -> np.ndarray:
-    """`values` as an array; a list that mixes bools into its integers, which
+    """`values` as an array; a list that mixes bools into its numbers, which
     numpy reads as 0 and 1, as an array of objects, which the checks reject."""
     arr = np.asarray(values)
-    if arr.dtype.kind in "iu" and not isinstance(values, np.ndarray):
+    if arr.dtype.kind in "iuf" and not isinstance(values, np.ndarray):
         objects = np.asarray(values, dtype=object)
         if any(isinstance(x, (bool, np.bool_)) for x in objects.flat):
             return objects
     return arr
 
 
+def is_real(value) -> bool:
+    """Whether `value` is a real number, numpy's scalars included; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def is_whole(value) -> bool:
     """Whether `value` is an integer or a float (or fraction) that holds one exactly;
     a bool is neither."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral)
-                 or float(value).is_integer() and value == int(value)))
+    return is_real(value) and (isinstance(value, numbers.Integral)
+                               or float(value).is_integer() and value == int(value))
 
 
 def check_count(value, what: str, minimum: int = 0) -> int:
@@ -172,6 +174,46 @@ def check_count(value, what: str, minimum: int = 0) -> int:
     if not is_whole(value) or value < minimum:
         raise ConfigError(f"{what} must be a whole number >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_real(value, what: str, interval: str) -> int | float:
+    """`value`, a rate, scale, probability or exponent, as an int if it is an integer,
+    else as a float: a real number in `interval`, written as "(0, 1]" with inf for an
+    unbounded end. Raises ConfigError naming `what` and the interval otherwise."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not (is_real(value) and (lo < value if interval[0] == "(" else lo <= value)
+            and (value < hi if interval[-1] == ")" else value <= hi)):
+        raise ConfigError(f"{what} must be in {interval}, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
+def check_vertex_total(n) -> int:
+    """`n`, a vertex count, as an int; a DataError past MAX_VERTICES, before any allocation."""
+    if check_count(n, "vertex count") > MAX_VERTICES:
+        raise DataError(f"{n} vertices exceed the vertex limit of 2**31")
+    return int(n)
+
+
+def check_probability_rows(probs, K: int | None, tol: float) -> np.ndarray:
+    """`probs` as a float64 array of probability rows: numbers (no text or bools), K
+    columns (any number if K is None), finite, non-negative, each row summing to 1
+    within `tol`. Raises DataError naming the first fault otherwise."""
+    probs = _as_array(probs)
+    if probs.ndim != 2:
+        raise DataError(f"probability rows must form a 2-D array, got shape {probs.shape}")
+    if K is not None and probs.shape[1] != K:
+        raise DataError(f"expected {K} columns, got {probs.shape[1]}")
+    if probs.dtype.kind not in "iuf":
+        raise DataError("non-numeric probability")
+    probs = probs.astype(np.float64, copy=False)
+    if not np.isfinite(probs).all():
+        raise DataError("non-finite probability")
+    if probs.size and probs.min() < 0:
+        raise DataError("negative probability")
+    off = np.flatnonzero(np.abs(probs.sum(axis=1) - 1.0) > tol)
+    if off.size:
+        raise DataError(f"probabilities sum to {probs[off[0]].sum():.8f}, not 1")
+    return probs
 
 
 def load_graph(edge_path, labels_path=None, features_path=None) -> Graph:

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .graph import Graph, bfs_distances, check_count, check_vertex_ids
+from .graph import Graph, bfs_distances, check_count, check_real, check_vertex_ids
 
 DEFAULT_ALPHA = 0.1       # teleport probability per walk step
 DEFAULT_WALK_LEN = 10     # number of walk steps
@@ -49,13 +49,11 @@ class KernelSpec:
         if self.kind not in (CONSTANT, PPR, SHORTEST_PATH, FEATURE):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
         if self.kind == PPR:
-            if not 0.0 < self.alpha < 1.0:
-                raise ConfigError(f"ppr alpha must be in (0,1), got {self.alpha}")
+            object.__setattr__(self, "alpha", check_real(self.alpha, "ppr alpha", "(0, 1)"))
             object.__setattr__(self, "walk_len", check_count(self.walk_len, "ppr walk_len", 1))
-            if not 0.0 <= self.interp <= 1.0:
-                raise ConfigError(f"ppr interp must be in [0,1], got {self.interp}")
-        if self.kind == SHORTEST_PATH and self.gamma <= 0.0:
-            raise ConfigError(f"sp gamma must be > 0, got {self.gamma}")
+            object.__setattr__(self, "interp", check_real(self.interp, "ppr interp", "[0, 1]"))
+        if self.kind == SHORTEST_PATH:
+            object.__setattr__(self, "gamma", check_real(self.gamma, "sp gamma", "(0, inf)"))
 
     @classmethod
     def constant(cls) -> "KernelSpec":

@@ -17,7 +17,8 @@ import numpy as np
 
 from .classifiers import check_labels
 from .errors import ConfigError, DataError
-from .graph import Graph, check_count, check_label_array, check_vertex_ids, read_text
+from .graph import (Graph, check_count, check_label_array, check_real, check_vertex_ids,
+                    check_vertex_total, read_text)
 
 DEFAULT_SAMPLE_SIZE = 100
 DEFAULT_SEEDS_PER_LABEL = 10
@@ -63,12 +64,12 @@ def largest_remainder_counts(total: int, shares) -> np.ndarray:
 def uniform_split(g: Graph, fractions, seed: int) -> SplitSpec:
     """Seeded uniformly random partition into classifier-train / quantifier-train
     / test at the given fractions (largest-remainder rounding)."""
-    fractions = np.asarray(fractions, dtype=np.float64)
-    # stated as what holds, so a NaN or an infinity fails it
-    if not (fractions.shape == (3,) and fractions.min() >= 0
-            and abs(fractions.sum() - 1.0) <= 1e-9):
-        raise ConfigError(f"fractions must be three finite non-negatives summing to 1, "
-                          f"got {fractions}")
+    rule = "split fractions (three finite non-negatives summing to 1)"
+    fractions = np.asarray(fractions, dtype=object)
+    if fractions.shape == (3,):
+        fractions = np.array([check_real(f, f"{rule}: each", "[0, 1]") for f in fractions])
+    if fractions.shape != (3,) or abs(fractions.sum() - 1.0) > 1e-9:
+        raise ConfigError(f"{rule}: got {fractions.tolist()}")
     sizes = largest_remainder_counts(g.n, fractions)
     perm = np.random.default_rng(check_count(seed, "split seed")).permutation(g.n)
     c, q = sizes[0], sizes[0] + sizes[1]
@@ -84,9 +85,7 @@ def _realized_prev(labels_of_sample: np.ndarray, num_classes: int) -> np.ndarray
 def zipf_distribution(num_classes: int, exponent: float) -> np.ndarray:
     """Zipf mass function over ranks 1..K: q_i proportional to i^-exponent.
     An exponent of +inf puts all mass on rank 1; NaN and -inf are rejected."""
-    # stated as what holds, so a NaN fails it
-    if not exponent > -np.inf:
-        raise ConfigError(f"zipf exponent must be a number above -inf, got {exponent}")
+    exponent = check_real(exponent, "zipf exponent", "(-inf, inf]")
     ranks = np.arange(1, num_classes + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
         weights = ranks ** (-exponent)
@@ -108,10 +107,9 @@ def sample_pps(pool_vertices, pool_labels, num_classes: int, num_dists=None,
     integers (there is no graph to bound them), and pool labels non-negative
     integers, one per pool vertex; labels >= num_classes are never drawn.
     """
-    pool_vertices = check_vertex_ids(pool_vertices, np.iinfo(np.int64).max, "PPS sampling pool")
+    pool_vertices = check_vertex_ids(pool_vertices, np.iinfo(np.int64).max, "PPS sampling pool",
+                                     nonempty=True)
     pool_labels = check_label_array(pool_vertices, pool_labels, what="pool")
-    if len(pool_vertices) == 0:
-        raise DataError("PPS sampling needs a non-empty pool")
     num_classes = check_count(num_classes, "PPS sampling num_classes", 1)
     sizes = "PPS sampling (n >= 1 and num_dists >= 1)"
     n = check_count(n, f"{sizes}: n", 1)
@@ -252,8 +250,7 @@ def sample_rw(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAU
     until n distinct pool vertices have been visited or the step budget of
     1000*n runs out (then flagged).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0,1], got {alpha}")
+    alpha = check_real(alpha, "RW sampling alpha", "[0, 1]")
     walk_len = check_count(walk_len, "RW sampling (walk_len >= 1): walk_len", 1)
 
     def collect(in_pool, start, n, rng):
@@ -306,8 +303,8 @@ def generate_sbm(blocks, p_in: float, p_out: float, block_labels=None, seed: int
         raise ConfigError(f"blocks must be one or more non-negative sizes, got {blocks}")
     blocks = [check_count(b, f"blocks (one or more non-negative sizes): blocks[{i}]")
               for i, b in enumerate(blocks)]
-    if not 0.0 <= p_in <= 1.0 or not 0.0 <= p_out <= 1.0:
-        raise ConfigError("p_in and p_out must be in [0,1]")
+    p_in = check_real(p_in, "SBM p_in", "[0, 1]")
+    p_out = check_real(p_out, "SBM p_out", "[0, 1]")
     if block_labels is None:
         block_labels = range(len(blocks))
     if len(block_labels) != len(blocks):
@@ -315,7 +312,7 @@ def generate_sbm(blocks, p_in: float, p_out: float, block_labels=None, seed: int
                           f"got {block_labels}")
     block_labels = [check_count(y, f"block_labels (one non-negative label per block): "
                                    f"block_labels[{i}]") for i, y in enumerate(block_labels)]
-    n = sum(blocks)
+    n = check_vertex_total(sum(blocks))
     offsets = np.cumsum([0] + blocks)
     labels = np.concatenate([np.full(b, lab, dtype=np.int64)
                              for b, lab in zip(blocks, block_labels)])

@@ -156,6 +156,9 @@ class TestQuantify:
         ("{base: acc, kernel_q: {kind: ppr, mode: dense}}", "unknown key 'mode'"),
         ("{base: acc", "invalid YAML"),
         ("acc", "must be a mapping"),
+        # both exited 2 after building the hop block, as if the data were at fault
+        ("{base: acc, kernel_q: {kind: sp, gamma: .nan}}", "sp gamma must be in (0, inf)"),
+        ("{base: acc, kernel_q: {kind: sp, gamma: .inf}}", "sp gamma must be in (0, inf)"),
     ])
     def test_bad_quantifier_spec_is_config_error(self, tmp_path, quantifier, message, capsys):
         edges, labels = make_graph_files(tmp_path)
@@ -485,6 +488,9 @@ class TestExitCodes:
         ({"shifts": 5}, "shifts in config"),
         ({"classifiers": [{"kind": "label_prop", "iterations": -1}]}, "iterations"),
         ({"classifiers": [{"kind": "label_prop", "damping": 1.5}]}, "damping"),
+        # exited 0 with every row flagged error:DataError
+        ({"quantifiers": [{"base": "acc", "kernel_q": {"kind": "sp", "gamma": float("nan")}}]},
+         "sp gamma"),
     ])
     def test_setting_of_wrong_type_or_range_is_one_naming_the_key(self, tmp_path, capsys,
                                                                  change, key):
@@ -498,6 +504,7 @@ class TestExitCodes:
         (tmp_path / "config.yaml").write_text(yaml.safe_dump(cfg))
         assert run("experiment", "--config", tmp_path / "config.yaml") == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("setting", [["--iterations", -1], ["--damping", 1.5]])
     def test_label_prop_setting_out_of_range_is_one(self, tmp_path, setting, capsys):

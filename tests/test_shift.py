@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphquant import graph
 from graphquant.config import ShiftConfig
 from graphquant.errors import ConfigError, DataError
 from graphquant.graph import Graph, check_vertex_ids
@@ -413,6 +414,18 @@ class TestSbm:
         # a negative label reached Graph and was a data error
         with pytest.raises(ConfigError, match="one non-negative label per block"):
             generate_sbm([3, 3], 0.3, 0.05, block_labels=block_labels, seed=1)
+
+    def test_vertex_total_past_the_limit_rejected_before_the_graph_is_built(self, monkeypatch):
+        # the label array and the edge draw came first; at the real limit that
+        # asks numpy for gigabytes, so the limit is lowered here
+        monkeypatch.setattr(graph, "MAX_VERTICES", 10)
+        assert generate_sbm([5, 5], 0.3, 0.05, seed=1).n == 10
+
+        def spy(*args, **kwargs):
+            pytest.fail("Graph.from_edges reached with too many vertices")
+        monkeypatch.setattr(Graph, "from_edges", spy)
+        with pytest.raises(DataError, match="vertex limit"):
+            generate_sbm([6, 5], 0.3, 0.05, seed=1)
 
     def test_disjoint_triangles(self):
         g = generate_sbm([3, 3], 1.0, 0.0, seed=0)
