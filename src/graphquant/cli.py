@@ -24,7 +24,8 @@ from .classifiers import load_predictions, save_predictions
 from .config import (DEFAULT_FRACTIONS, DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS,
                      load_config, load_yaml, parse_quantifier_spec)
 from .errors import ConfigError, DataError
-from .graph import Graph, check_vertex_ids, guarded_loadtxt, load_graph, read_text, save_graph
+from .graph import (Graph, check_vertex_ids, guarded_loadtxt, load_graph, read_text, save_graph,
+                    write_csv)
 from .quantifiers import quantify
 from .shift import (DEFAULT_RW_ALPHA, DEFAULT_RW_WALK_LEN, DEFAULT_SAMPLE_SIZE,
                     DEFAULT_SEEDS_PER_LABEL, DEFAULT_ZIPF_EXPONENT, SplitSpec,
@@ -49,13 +50,8 @@ def _load_graph_args(args) -> Graph:
 
 
 def save_split(split: SplitSpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["vertex", "role"])
-        for role, vertices in zip(SPLIT_ROLES,
-                                  (split.classifier_train, split.quantifier_train, split.test)):
-            for v in vertices:
-                writer.writerow([int(v), role])
+    write_csv(path, ["vertex", "role"],
+              ((int(v), role) for role in SPLIT_ROLES for v in getattr(split, role)))
 
 
 # one field wider than the longest role: a longer role that np.loadtxt cuts to
@@ -214,13 +210,10 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
-def _add_graph_args(p, features=True):
+def _add_graph_args(p):
     p.add_argument("--edges", required=True, help="edge file (one 'u v' per line)")
     p.add_argument("--labels", help="labels file (one integer per line)")
-    if features:
-        p.add_argument("--features", help="features file (comma-separated rows)")
-    else:
-        p.set_defaults(features=None)
+    p.add_argument("--features", help="features file (comma-separated rows)")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -171,16 +171,10 @@ def parse_quantifier_spec(raw) -> QuantifierSpec:
 
 
 def parse_kernel_spec(raw) -> KernelSpec:
+    """The kernel spec `raw`: a mapping, or the name of a kind for its defaults."""
     if raw is None:
         return None
-    if isinstance(raw, str):
-        raw = {"kind": raw}
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"kernel spec must name a kind, got {raw!r}")
-    kind = _text(raw["kind"], "kind", "kernel spec")
-    if kind not in _KERNEL:
-        raise ConfigError(f"unknown kernel kind {kind!r}")
-    return _build(KernelSpec, raw, _KERNEL[kind], f"{kind} kernel spec")
+    return _kernel_spec({"kind": raw} if isinstance(raw, str) else raw, "kernel spec", None)
 
 
 def _build(cls, raw, keys: dict, what: str, **given):
@@ -219,7 +213,7 @@ def _typed(expected: str, accepts, convert):
 
 
 _integer = _typed("an integer", is_whole, int)
-_number = _typed("a number", is_real, float)
+_number = _typed("a number that a float holds", is_real, float)
 _flag = _typed("true or false", lambda v: isinstance(v, bool), bool)
 _text = _typed("text", lambda v: isinstance(v, str), str)
 _sequence = _typed("a list", lambda v: isinstance(v, (list, tuple)), tuple)
@@ -234,9 +228,20 @@ def _list(item, name: str = "{key}[{i}]"):
     return converter
 
 
-def _section(cls, keys: dict):
-    """A converter for a nested section, built as `cls` and named by its key."""
-    return lambda value, key, what: _build(cls, value, keys, key)
+def _section(cls, tables: dict, name: str = "{key}"):
+    """A converter for a nested section, built as `cls`: `tables` maps each kind
+    to the keys a section of that kind takes (None: a section without kinds), so
+    a key of another kind is unknown, and `name` formats the section's name from
+    its key and kind. A section without a known kind may use the keys of every
+    kind, is named by its key, and `cls` names the missing or unknown kind."""
+    every = {key: conv for keys in tables.values() for key, conv in keys.items()}
+
+    def converter(value, key, what):
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if isinstance(kind, str) and kind in tables:
+            return _build(cls, value, tables[kind], name.format(key=key, kind=kind))
+        return _build(cls, value, every, key)
+    return converter
 
 
 def _kernel(value, key, what) -> KernelSpec:
@@ -253,18 +258,20 @@ def _quantifier(value, key, what) -> QuantifierConfig:
 _SBM = {"blocks": _list(_integer), "p_in": _number, "p_out": _number,
         "block_labels": _list(_integer), "seed": _integer}
 _DATASET = {"name": _text, "edges": _text, "labels": _text, "features": _text,
-            "sbm": _section(SbmParams, _SBM)}
+            "sbm": _section(SbmParams, {None: _SBM})}
 _SPLIT = {"fractions": _list(_number)}
-_CLASSIFIER = {"name": _text, "kind": _text, "iterations": _integer, "damping": _number,
-               "path": _text}
+_NAMED = {"name": _text, "kind": _text}
+_CLASSIFIER = {ENQ: _NAMED, LABEL_PROP: {**_NAMED, "iterations": _integer, "damping": _number},
+               EXTERNAL: {**_NAMED, "path": _text}}
 # "name" names the config's quantifier, not the spec
 _QUANTIFIER = {"name": None, "base": _text, "probabilistic": _flag, "nacc": _flag,
                "kernel_q": _kernel, "kernel_p": _kernel}
-_SHIFT = {"name": _text, "kind": _text, "n": _integer, "num_dists": _integer,
-          "zipf_exponent": _number, "seeds_per_label": _integer, "walk_len": _integer,
-          "alpha": _number}
+_SHIFT = {"pps": {**_NAMED, "n": _integer, "num_dists": _integer, "zipf_exponent": _number},
+          "bfs": {**_NAMED, "n": _integer, "seeds_per_label": _integer},
+          "rw": {**_NAMED, "n": _integer, "seeds_per_label": _integer, "walk_len": _integer,
+                 "alpha": _number}}
 # "split" is read by parse_config
-_TOP = {"dataset": _section(DatasetConfig, _DATASET), "split": None,
+_TOP = {"dataset": _section(DatasetConfig, {None: _DATASET}), "split": None,
         "classifiers": _list(_section(ClassifierConfig, _CLASSIFIER), "classifier #{i}"),
         "quantifiers": _list(_quantifier, "quantifier #{i}"),
         "shifts": _list(_section(ShiftConfig, _SHIFT), "shift #{i}"),
@@ -273,3 +280,4 @@ _KERNEL = {kernels.CONSTANT: {"kind": _text},
            kernels.PPR: {"kind": _text, "alpha": _number, "walk_len": _integer, "interp": _number},
            kernels.SHORTEST_PATH: {"kind": _text, "gamma": _number},
            kernels.FEATURE: {"kind": _text}}
+_kernel_spec = _section(KernelSpec, _KERNEL, "{kind} {key}")

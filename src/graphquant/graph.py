@@ -7,7 +7,9 @@ lists sorted ascending, no duplicates and no self-loops.
 
 from __future__ import annotations
 
+import csv
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,8 +147,12 @@ def check_label_array(vertices, labels, what: str = "train") -> np.ndarray:
 
 def _as_array(values) -> np.ndarray:
     """`values` as an array; a list that mixes bools into its numbers, which
-    numpy reads as 0 and 1, as an array of objects, which the checks reject."""
-    arr = np.asarray(values)
+    numpy reads as 0 and 1, or whose rows differ in length, as an array of
+    objects, which the checks reject."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged: numpy makes no array of numbers of it
+        return np.fromiter(values, dtype=object)
     if arr.dtype.kind in "iuf" and not isinstance(values, np.ndarray):
         objects = np.asarray(values, dtype=object)
         if any(isinstance(x, (bool, np.bool_)) for x in objects.flat):
@@ -155,8 +161,10 @@ def _as_array(values) -> np.ndarray:
 
 
 def is_real(value) -> bool:
-    """Whether `value` is a real number, numpy's scalars included; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether `value` is a real number that a float holds, numpy's scalars
+    included; a bool is not, nor an integer past the float range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
 
 
 def is_whole(value) -> bool:
@@ -169,8 +177,9 @@ def is_whole(value) -> bool:
 def check_count(value, what: str, minimum: int = 0) -> int:
     """`value`, a count, size, seed or iteration number, as an int: an integer
     or a float that holds one (as YAML reads `100.0`), at least `minimum`.
-    Raises ConfigError naming `what` otherwise, so no bool, fraction, NaN or
-    infinity is truncated or fails later inside numpy."""
+    Raises ConfigError naming `what` otherwise, so no bool, fraction, NaN,
+    infinity or integer past the float range is truncated or fails later inside
+    numpy."""
     if not is_whole(value) or value < minimum:
         raise ConfigError(f"{what} must be a whole number >= {minimum}, got {value!r}")
     return int(value)
@@ -259,6 +268,19 @@ def read_text(path, error=DataError) -> str:
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
                     f"at offset {exc.start})") from None
+
+
+def write_csv(path, fields, rows) -> None:
+    """Write a CSV table to `path`: the header `fields`, then one line per row of
+    cells. A float is written in its shortest round-trip digits (the csv module's
+    str, Python's repr), None as an empty cell, and a tuple as its items joined by
+    ';'. An existing file is truncated in place; lines end in \\r\\n, the csv
+    module's default."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(fields)
+        writer.writerows([";".join(cell) if isinstance(cell, tuple) else cell for cell in row]
+                         for row in rows)
 
 
 def guarded_loadtxt(data: str | bytes, source, dtype, **kwargs) -> np.ndarray | None:

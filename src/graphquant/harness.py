@@ -11,14 +11,16 @@ import csv
 import io
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .classifiers import enq_predict, label_prop_predict, load_predictions
 from .config import ENQ, LABEL_PROP, ClassifierConfig, ExperimentConfig
 from .errors import DataError, GraphQuantError
-from .graph import Graph, check_vertex_ids, load_graph, read_text
+from .graph import Graph, check_vertex_ids, load_graph, read_text, write_csv
 from .quantifiers import quantify_batch
 from .shift import (ShiftSample, generate_sbm, sample_bfs, sample_pps, sample_rw,
                     uniform_split)
@@ -26,9 +28,6 @@ from .shift import (ShiftSample, generate_sbm, sample_bfs, sample_pps, sample_rw
 SIGNIFICANCE = 0.05
 
 logger = logging.getLogger(__name__)
-
-RESULT_FIELDS = ["dataset", "shift", "classifier", "quantifier", "repetition",
-                 "sample_id", "sample_size", "ae", "rae", "flags"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,23 @@ class ResultRow:
     ae: float | None
     rae: float | None
     flags: tuple[str, ...] = ()
+
+
+def _error_cell(text: str) -> float | None:
+    """An AE or RAE cell of a results file: empty for a failed estimate, else a
+    finite non-negative number."""
+    value = float(text) if text else None
+    if value is not None and not 0 <= value < math.inf:
+        raise ValueError(f"expected a finite non-negative error, got {text!r}")
+    return value
+
+
+# the fields of a results file, in order, and the reader of each one's cells
+_RESULT_READERS = {"dataset": str, "shift": str, "classifier": str, "quantifier": str,
+                   "repetition": int, "sample_id": int, "sample_size": int,
+                   "ae": _error_cell, "rae": _error_cell,
+                   "flags": lambda text: tuple(text.split(";")) if text else ()}
+RESULT_FIELDS = list(_RESULT_READERS)
 
 
 def ae(q, q_hat) -> float:
@@ -211,7 +227,7 @@ def draw_samples(shift_cfg, g: Graph, pool_vertices, pool_labels, seed: int,
                      seed=seed, num_classes=num_classes)
 
 
-def run_experiment(cfg: ExperimentConfig, write_csv: bool = True) -> list[ResultRow]:
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the full protocol: split, fit classifiers, draw shifted samples,
     quantify every sample with every quantifier, score against the realized
     sample histogram.
@@ -248,8 +264,7 @@ def run_experiment(cfg: ExperimentConfig, write_csv: bool = True) -> list[Result
                     rows.extend(_score_quantifier(
                         cfg, g, quant_cfg, clf_cfg, shift_cfg, rep, samples,
                         quant_train, quant_labels, preds, weight_cache))
-    if write_csv:
-        write_results_csv(rows, cfg.output)
+    write_results_csv(rows, cfg.output)
     return rows
 
 
@@ -279,30 +294,27 @@ def _score_quantifier(cfg, g, quant_cfg, clf_cfg, shift_cfg, rep, samples,
 
 
 def write_results_csv(rows: list[ResultRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(RESULT_FIELDS)
-        for r in rows:
-            writer.writerow([r.dataset, r.shift, r.classifier, r.quantifier,
-                             r.repetition, r.sample_id, r.sample_size,
-                             "" if r.ae is None else repr(r.ae),
-                             "" if r.rae is None else repr(r.rae),
-                             ";".join(r.flags)])
+    write_csv(path, RESULT_FIELDS, map(attrgetter(*RESULT_FIELDS), rows))
 
 
 def read_results_csv(path) -> list[ResultRow]:
+    """The rows of a results file. Raises DataError naming the file and line of
+    a row with another number of fields than RESULT_FIELDS or with a cell its
+    field's reader rejects."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != RESULT_FIELDS:
+        raise DataError(f"{path}: unexpected results header {header}")
     rows = []
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    if reader.fieldnames != RESULT_FIELDS:
-        raise DataError(f"{path}: unexpected results header {reader.fieldnames}")
-    for rec in reader:
-        rows.append(ResultRow(
-            dataset=rec["dataset"], shift=rec["shift"], classifier=rec["classifier"],
-            quantifier=rec["quantifier"], repetition=int(rec["repetition"]),
-            sample_id=int(rec["sample_id"]), sample_size=int(rec["sample_size"]),
-            ae=float(rec["ae"]) if rec["ae"] else None,
-            rae=float(rec["rae"]) if rec["rae"] else None,
-            flags=tuple(rec["flags"].split(";")) if rec["flags"] else ()))
+    for record in filter(None, reader):  # a blank line is no row
+        if len(record) != len(RESULT_FIELDS):
+            raise DataError(f"{path}:{reader.line_num}: expected {len(RESULT_FIELDS)} "
+                            f"fields, got {len(record)}")
+        try:
+            rows.append(ResultRow(*(read(cell) for read, cell
+                                    in zip(_RESULT_READERS.values(), record))))
+        except ValueError as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -335,32 +347,27 @@ def aggregate(rows: list[ResultRow]):
     for block_key in sorted(blocks):
         per_quant = blocks[block_key]
         quant_names = sorted(per_quant)
-        stats = {}
-        for name in quant_names:
-            aes = np.asarray([r.ae for r in per_quant[name]])
-            raes = np.asarray([r.rae for r in per_quant[name]])
-            stats[name] = (aes, raes)
-        ae_means = {n: stats[n][0].mean() for n in quant_names}
-        rae_means = {n: stats[n][1].mean() for n in quant_names}
-        ae_ranks = _mean_ranks(ae_means, quant_names)
-        rae_ranks = _mean_ranks(rae_means, quant_names)
-        ae_best = min(quant_names, key=lambda n: (ae_means[n], n))
-        rae_best = min(quant_names, key=lambda n: (rae_means[n], n))
-        for name in quant_names:
-            aes, raes = stats[name]
-            summary.append({
-                "dataset": block_key[0], "shift": block_key[1], "classifier": block_key[2],
-                "quantifier": name, "count": len(aes),
-                "ae_mean": float(aes.mean()), "ae_se": _stderr(aes),
-                "ae_rank": ae_ranks[name],
-                "ae_best": int(welch_one_sided_pvalue(aes, stats[ae_best][0]) >= SIGNIFICANCE),
-                "rae_mean": float(raes.mean()), "rae_se": _stderr(raes),
-                "rae_rank": rae_ranks[name],
-                "rae_best": int(welch_one_sided_pvalue(raes, stats[rae_best][1]) >= SIGNIFICANCE),
-            })
-            acc = rank_acc.setdefault(name, {"ae": [], "rae": []})
-            acc["ae"].append(ae_ranks[name])
-            acc["rae"].append(rae_ranks[name])
+        records = {name: {"dataset": block_key[0], "shift": block_key[1],
+                          "classifier": block_key[2], "quantifier": name,
+                          "count": len(per_quant[name])} for name in quant_names}
+        for metric in ("ae", "rae"):
+            values = {n: np.asarray([getattr(r, metric) for r in per_quant[n]])
+                      for n in quant_names}
+            means = {n: values[n].mean() for n in quant_names}
+            ordered = sorted(means.values())
+            best = min(quant_names, key=lambda n: (means[n], n))
+            for name in quant_names:
+                # rank 1 = lowest mean; tied means share the mean of their ranks
+                rank = (bisect_left(ordered, means[name]) + bisect_right(ordered, means[name])
+                        + 1) / 2
+                records[name].update({
+                    f"{metric}_mean": float(means[name]),
+                    f"{metric}_se": _stderr(values[name]),
+                    f"{metric}_rank": rank,
+                    f"{metric}_best": int(welch_one_sided_pvalue(values[name], values[best])
+                                          >= SIGNIFICANCE)})
+                rank_acc.setdefault(name, {"ae": [], "rae": []})[metric].append(rank)
+        summary.extend(records.values())
     avg_ranks = [{"quantifier": name,
                   "ae_avg_rank": float(np.mean(acc["ae"])),
                   "rae_avg_rank": float(np.mean(acc["rae"])),
@@ -375,37 +382,9 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def _mean_ranks(means: dict[str, float], names: list[str]) -> dict[str, float]:
-    """Rank 1 = best (lowest mean); tied means share the mean of their ranks."""
-    ordered = sorted(names, key=lambda n: means[n])
-    ranks: dict[str, float] = {}
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and means[ordered[j + 1]] == means[ordered[i]]:
-            j += 1
-        shared = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[ordered[k]] = shared
-        i = j + 1
-    return ranks
-
-
 def write_summary_csv(summary: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SUMMARY_FIELDS)
-        for rec in summary:
-            writer.writerow([_csv_cell(rec[k]) for k in SUMMARY_FIELDS])
+    write_csv(path, SUMMARY_FIELDS, map(itemgetter(*SUMMARY_FIELDS), summary))
 
 
 def write_ranks_csv(avg_ranks: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(RANK_FIELDS)
-        for rec in avg_ranks:
-            writer.writerow([_csv_cell(rec[k]) for k in RANK_FIELDS])
-
-
-def _csv_cell(value):
-    return repr(value) if isinstance(value, float) else value
+    write_csv(path, RANK_FIELDS, map(itemgetter(*RANK_FIELDS), avg_ranks))

@@ -86,7 +86,8 @@ class _WeightContext:
     a harness that quantifies one batch once per classifier builds them once."""
 
     def __init__(self, spec: QuantifierSpec, g: Graph, train_vertices: np.ndarray):
-        self.n = g.n
+        self.graph = g
+        self.train = train_vertices.copy()
         self._last: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
         kernel_q = spec.kernel_q if spec.kernel_q is not None else KernelSpec.constant()
         kernel_p = spec.kernel_p if spec.kernel_p is not None else KernelSpec.constant()
@@ -102,7 +103,7 @@ class _WeightContext:
         if len(samples) == len(last_samples) and all(
                 np.array_equal(a, b) for a, b in zip(samples, last_samples)):
             return last_weights
-        q = kde_density(self.q_kernel, samples, self.n)
+        q = kde_density(self.q_kernel, samples, self.graph.n)
         weights = [density_ratio(q[:, j], self.p_density) for j in range(len(samples))]
         # copies: a caller's array may be changed in place before the next batch
         self._last = ([s.copy() for s in samples], weights)
@@ -121,9 +122,10 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
     """Quantify many test samples; kernel matrices and the training-density
     estimate are computed once and shared across samples.
 
-    A caller that quantifies several batches on the same graph and training
-    vertices can pass one `weight_cache` dict to all of them; the weight
-    resources are then built once per (kernel_q, kernel_p) pair and reused.
+    A caller that quantifies several batches can pass one `weight_cache` dict
+    to all of them; the weight resources are then built once per (kernel_q,
+    kernel_p) pair and reused while the graph and training vertices stay the
+    same, and rebuilt when either changes.
     """
     train_vertices = check_vertex_ids(train_vertices, g.n, "train vertices")
     samples = [check_vertex_ids(s, g.n, "test sample", nonempty=True) for s in samples]
@@ -147,13 +149,14 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
                 for s in samples]
 
     if spec.uses_sis:
-        if weight_cache is None:
-            weight_cache = {}
+        weight_cache = {} if weight_cache is None else weight_cache
         key = (spec.kernel_q, spec.kernel_p)
-        if key not in weight_cache:
-            weight_cache[key] = _WeightContext(spec, g, train_vertices)
+        context = weight_cache.get(key)
+        if (context is None or context.graph is not g
+                or not np.array_equal(context.train, train_vertices)):
+            context = weight_cache[key] = _WeightContext(spec, g, train_vertices)
         estimates = [confusion_estimate(outcomes, train_vertices, train_labels, K, w)
-                     for w in weight_cache[key].weights_for(samples)]
+                     for w in context.weights_for(samples)]
     else:
         estimates = [confusion_estimate(outcomes, train_vertices, train_labels, K)] * len(samples)
     results = []

@@ -18,7 +18,7 @@ import numpy as np
 from .classifiers import check_labels
 from .errors import ConfigError, DataError
 from .graph import (Graph, check_count, check_label_array, check_real, check_vertex_ids,
-                    check_vertex_total, read_text)
+                    check_vertex_total, read_text, write_csv)
 
 DEFAULT_SAMPLE_SIZE = 100
 DEFAULT_SEEDS_PER_LABEL = 10
@@ -414,14 +414,8 @@ def _sample_line_error(path, text: str, exc) -> DataError:
 
 def write_manifest(samples: list[ShiftSample], manifest_path, samples_path) -> None:
     """One CSV row per sample of a run, pointing back into the samples file."""
-    import csv
-
-    with open(manifest_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["section", "sampler", "seed", "start", "size", "flagged",
-                         "params", "file"])
-        for i, s in enumerate(samples):
-            params = ";".join(f"{k}={_fmt_param(v)}" for k, v in sorted(s.params.items()))
-            writer.writerow([i, s.sampler, s.seed,
-                             "" if s.start is None else s.start,
-                             len(s.vertices), int(s.flagged), params, str(samples_path)])
+    write_csv(manifest_path, ["section", "sampler", "seed", "start", "size", "flagged",
+                              "params", "file"],
+              ((i, s.sampler, s.seed, s.start, len(s.vertices), int(s.flagged),
+                tuple(f"{k}={_fmt_param(v)}" for k, v in sorted(s.params.items())),
+                str(samples_path)) for i, s in enumerate(samples)))

@@ -24,6 +24,7 @@ from graphquant.config import (ClassifierConfig, DatasetConfig, ExperimentConfig
                                QuantifierConfig, SbmParams, ShiftConfig)
 from graphquant.errors import ConfigError, DataError
 from graphquant.estimation import PredictionSet
+from graphquant.graph import check_vertex_ids
 from graphquant.shift import sample_bfs, sample_pps, sample_rw, zipf_distribution
 
 G = generate_sbm([60, 60], 0.2, 0.02, seed=1)
@@ -50,6 +51,8 @@ def split_with(v):
 # entry point -> (kind of value, call with the value in place)
 ENTRY_POINTS = {
     "Graph.from_edges endpoint": (IDS, lambda v: Graph.from_edges(3, [(0, 1), (1, v)])),
+    "Graph.from_edges edge": (IDS, lambda v: Graph.from_edges(3, [(0, 1), v])),
+    "check_vertex_ids ids": (IDS, lambda v: check_vertex_ids([[0, 1], v], 5, "x")),
     "Graph.from_edges labels": (LABELS, lambda v: Graph.from_edges(3, [(0, 1)], labels=[0, 1, v])),
     "PredictionSet.from_hard labels": (LABELS, lambda v: PredictionSet.from_hard([0, v], K=3)),
     "Graph.from_edges n": (COUNTS, lambda v: Graph.from_edges(v, [(0, 1)])),
@@ -98,7 +101,9 @@ ENTRY_POINTS = {
     "zipf_distribution exponent in (-inf, inf]": (REALS, lambda v: zipf_distribution(3, v)),
     "uniform_split fraction in [0, 1]": (REALS, split_with),
 }
-BAD_VALUES = [2.5, -1, True, math.nan, math.inf, "x"]
+HUGE = 10 ** 400  # an integer past the float range
+# [2] makes a list of lists ragged: rows of different lengths
+BAD_VALUES = [2.5, -1, True, math.nan, math.inf, "x", [2], HUGE]
 WHOLE_FLOAT = 100.0  # as YAML reads `100.0`, which the config takes for an integer
 
 
@@ -128,10 +133,11 @@ def interval_of(entry):
 
 
 def outside(entry):
-    """Values a real entry point rejects: text, a bool, NaN, a value past each
-    finite end of its interval, and each open end itself."""
+    """Values a real entry point rejects: text, a bool, NaN, integers past the
+    float range, a value past each finite end of its interval, and each open end
+    itself."""
     lo, hi, lo_open, hi_open = interval_of(entry)
-    values = ["x", True, math.nan]
+    values = ["x", True, math.nan, HUGE, -HUGE]
     for end, past, is_open in ((lo, lo - 0.5, lo_open), (hi, hi + 0.5, hi_open)):
         values += ([end] if is_open else []) + ([past] if math.isfinite(end) else [])
     return values
@@ -152,10 +158,12 @@ REAL_ENTRIES = [e for e, (kind, _) in ENTRY_POINTS.items() if kind == REALS]
 
 
 def entry_or_value(param):
+    if type(param) is int and abs(param) == HUGE:
+        return "-" * (param < 0) + "10**400"
     return param if param in REAL_ENTRIES else repr(param)
 
 
-@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+@pytest.mark.parametrize("value", BAD_VALUES, ids=entry_or_value)
 @pytest.mark.parametrize("entry", [e for e, (kind, _) in ENTRY_POINTS.items() if kind != REALS])
 def test_bad_value_is_rejected_by_its_rule(entry, value):
     kind, call = ENTRY_POINTS[entry]
@@ -189,7 +197,7 @@ def test_real_inside_its_interval_is_the_matching_float(entry, value):
 # rows the probability-row rule rejects beside the row 0.5,0.5 (K=2), as the
 # Python API gets them; a predictions file holds their text
 BAD_ROWS = [["x", 0.5], [True, False], [math.nan, 1.0], [math.inf, 0.0], [-0.5, 1.5],
-            [0.5, 0.6]]
+            [0.5, 0.6], [1.0]]
 
 
 @pytest.mark.parametrize("row", BAD_ROWS, ids=repr)

@@ -159,6 +159,9 @@ class TestQuantify:
         # both exited 2 after building the hop block, as if the data were at fault
         ("{base: acc, kernel_q: {kind: sp, gamma: .nan}}", "sp gamma must be in (0, inf)"),
         ("{base: acc, kernel_q: {kind: sp, gamma: .inf}}", "sp gamma must be in (0, inf)"),
+        # exited 3 with OverflowError
+        pytest.param("{base: acc, kernel_q: {kind: sp, gamma: 1%s}}" % ("0" * 400),
+                     "expected a number that a float holds", id="sp-gamma-10**400"),
     ])
     def test_bad_quantifier_spec_is_config_error(self, tmp_path, quantifier, message, capsys):
         edges, labels = make_graph_files(tmp_path)
@@ -358,6 +361,30 @@ class TestExperimentAndAggregate:
         assert run("experiment", "--config", cfg, "--out", other) == 0
         assert other.exists()
 
+    @pytest.mark.parametrize("row,message", [
+        ("d,pps,enq,cc,0,0", "expected 10 fields, got 6"),
+        ("d,pps,enq,cc,0,0,20,0.1", "expected 10 fields, got 8"),
+        ("d,pps,enq,cc,0,0,20,0.1,0.2,,x", "expected 10 fields, got 11"),
+        ("d,pps,enq,cc,0.5,0,20,0.1,0.2,", "invalid literal for int() with base 10: '0.5'"),
+        ("d,pps,enq,cc,0,x,20,0.1,0.2,", "invalid literal for int() with base 10: 'x'"),
+        ("d,pps,enq,cc,0,0,20,abc,0.2,", "could not convert string to float: 'abc'"),
+        ("d,pps,enq,cc,0,0,20,nan,0.2,", "expected a finite non-negative error, got 'nan'"),
+        ("d,pps,enq,cc,0,0,20,0.1,inf,", "expected a finite non-negative error, got 'inf'"),
+        ("d,pps,enq,cc,0,0,20,0.1,-0.2,", "expected a finite non-negative error, got '-0.2'"),
+    ])
+    def test_malformed_results_row_is_two_naming_the_line(self, tmp_path, capsys, row, message):
+        # the short row of 6 fields and the unreadable cells exited 3 (TypeError,
+        # ValueError); the other rows were summarized without a word: a row of 8
+        # fields as unscored, one of 11 without its last cell, and the errors as
+        # given, NaN summaries included
+        results = tmp_path / "results.csv"
+        results.write_text(",".join(harness.RESULT_FIELDS) + "\n"
+                           + "d,pps,enq,cc,0,0,20,0.1,0.2,\n\n" + row + "\n")
+        assert run("aggregate", "--results", results, "--out", tmp_path / "summary.csv") == 2
+        err = capsys.readouterr().err
+        assert f"{results}:4: " in err and message in err
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_internal_error_in_quantifier_is_three(self, tmp_path, monkeypatch):
         def buggy(*args, **kwargs):
             raise RuntimeError("bug")
@@ -491,6 +518,12 @@ class TestExitCodes:
         # exited 0 with every row flagged error:DataError
         ({"quantifiers": [{"base": "acc", "kernel_q": {"kind": "sp", "gamma": float("nan")}}]},
          "sp gamma"),
+        # exited 3 with OverflowError
+        ({"quantifiers": [{"base": "acc", "kernel_q": {"kind": "sp", "gamma": 10 ** 400}}]},
+         "gamma in sp kernel spec"),
+        # accepted, then ignored: keys of another kind
+        ({"shifts": [{"kind": "pps", "n": 5, "walk_len": 99}]}, "walk_len' in shift #0"),
+        ({"classifiers": [{"kind": "enq", "damping": 0.3}]}, "damping' in classifier #0"),
     ])
     def test_setting_of_wrong_type_or_range_is_one_naming_the_key(self, tmp_path, capsys,
                                                                  change, key):

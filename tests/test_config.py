@@ -108,6 +108,14 @@ class TestExperimentConfigKeys:
         ("split", {"split": {"fraction": [0.1, 0.2, 0.7]}}, "fraction"),
         ("classifier #0", {"classifiers": [{"kind": "label_prop", "iteration": 5}]},
          "iteration"),
+        # keys of another kind: each was accepted and then ignored
+        ("shift #0", {"shifts": [{"kind": "pps", "walk_len": 99}]}, "walk_len"),
+        ("shift #0", {"shifts": [{"kind": "bfs", "num_dists": 2}]}, "num_dists"),
+        ("shift #0", {"shifts": [{"kind": "rw", "zipf_exponent": 2.0}]}, "zipf_exponent"),
+        ("classifier #0", {"classifiers": [{"kind": "enq", "damping": 0.3}]}, "damping"),
+        ("classifier #0", {"classifiers": [{"kind": "external", "path": "p.csv",
+                                            "iterations": 3}]}, "iterations"),
+        ("classifier #0", {"classifiers": [{"kind": "label_prop", "path": "p.csv"}]}, "path"),
     ])
     def test_unknown_key_rejected_in_section(self, section, raw, key):
         with pytest.raises(ConfigError, match=f"unknown key '{key}' in {section}"):
@@ -130,12 +138,25 @@ class TestExperimentConfigKeys:
                                            "block_labels": [0, 1], "seed": 2}},
             split={"fractions": [0.1, 0.2, 0.7]},
             classifiers=[{"name": "lp", "kind": "label_prop", "iterations": 5,
-                          "damping": 0.5}],
-            shifts=[{"name": "s", "kind": "rw", "n": 5, "num_dists": 2, "zipf_exponent": 1.5,
-                     "seeds_per_label": 2, "walk_len": 3, "alpha": 0.2}],
+                          "damping": 0.5},
+                         {"name": "gcn", "kind": "external", "path": "gcn.csv"}],
+            shifts=[{"name": "p", "kind": "pps", "n": 5, "num_dists": 2, "zipf_exponent": 1.5},
+                    {"name": "b", "kind": "bfs", "n": 5, "seeds_per_label": 2},
+                    {"name": "r", "kind": "rw", "n": 5, "seeds_per_label": 2, "walk_len": 3,
+                     "alpha": 0.2}],
             repetitions=2, seed=3, output="out.csv")
         cfg = parse_config(raw)
-        assert cfg.repetitions == 2 and cfg.shifts[0].seeds_per_label == 2
+        assert cfg.repetitions == 2 and cfg.shifts[1].seeds_per_label == 2
+        assert cfg.shifts[0].num_dists == 2 and cfg.shifts[2].walk_len == 3
+
+    @pytest.mark.parametrize("shift,message", [
+        ({"kind": "mystery", "n": 5}, "unknown shift kind 'mystery'"),
+        ({"n": 5}, "missing required key 'kind'"),
+        ({"kind": ["pps"]}, "kind in shift #0 is of the wrong type"),
+    ])
+    def test_shift_without_a_known_kind_names_the_kind(self, shift, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(minimal_config(shifts=[shift]))
 
 
 def yaml_texts() -> list[str]:

@@ -1,6 +1,7 @@
 import logging
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from scipy import stats as scipy_stats
 from scipy.special import betainc
 
 from graphquant import harness, quantifiers
+from graphquant.cli import save_split
 from graphquant.config import parse_config
 from graphquant.errors import DataError
 from graphquant.harness import (ResultRow, ae, aggregate, rae, read_results_csv,
                                 run_experiment, student_t_sf, welch_one_sided_pvalue)
-from graphquant.shift import uniform_split
+from graphquant.shift import ShiftSample, SplitSpec, uniform_split, write_manifest
 from graphquant.harness import load_dataset
+
+EXPECTED_CSV = Path(__file__).parent / "expected_csv"
 
 
 def betainc_student_t_sf(t: float, dof: float) -> float:
@@ -29,6 +33,23 @@ def betainc_student_t_sf(t: float, dof: float) -> float:
     x = dof / (dof + t * t)
     tail = 0.5 * float(betainc(dof / 2.0, 0.5, x))
     return tail if t > 0 else 1.0 - tail
+
+
+def tie_loop_ranks(means: dict[str, float]) -> dict[str, float]:
+    """Rank 1 = lowest mean; each run of tied means shares the mean of its
+    ranks, found by walking the sorted means: the oracle for aggregate's ranks."""
+    ordered = sorted(means, key=lambda n: means[n])
+    ranks: dict[str, float] = {}
+    i = 0
+    while i < len(ordered):
+        j = i
+        while j + 1 < len(ordered) and means[ordered[j + 1]] == means[ordered[i]]:
+            j += 1
+        shared = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[ordered[k]] = shared
+        i = j + 1
+    return ranks
 
 
 def base_config(tmp_path, **overrides):
@@ -244,6 +265,18 @@ class TestAggregate:
         key = lambda recs: {(r["quantifier"]): (r["ae_rank"], r["ae_mean"]) for r in recs}
         assert key(summary_a) == key(summary_b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 1.0]),
+                              st.floats(0, 1)), min_size=1, max_size=8))
+    def test_ranks_match_tie_loop(self, means):
+        rows = [self.row(f"q{i}", v) for i, v in enumerate(means)]
+        summary, _ = aggregate(rows)
+        expected = tie_loop_ranks({f"q{i}": v for i, v in enumerate(means)})
+        for metric in ("ae_rank", "rae_rank"):
+            got = {rec["quantifier"]: rec[metric] for rec in summary}
+            assert got == expected
+            assert all(type(rank) is float for rank in got.values())
+
     def test_error_rows_are_skipped(self):
         rows = [self.row("a", 0.1)]
         rows.append(ResultRow(dataset="d", shift="s", classifier="c", quantifier="a",
@@ -255,6 +288,53 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             aggregate([])
+
+
+def write_report_files(out: Path) -> list[str]:
+    """Write the five CSV tables of the package from fixed inputs into `out`:
+    results, summary and ranks of a run, a split and a sample manifest. The
+    inputs hold quoted text, repeating fractions, a failed row, joined flags,
+    tied means, an absent start vertex and numpy ints. Returns the file names."""
+    def row(shift, quantifier, sample_id, ae_val, rae_val, flags=()):
+        return ResultRow('d,"x"', shift, "enq", quantifier, 0, sample_id, 20,
+                         ae_val, rae_val, flags)
+    rows = [row("pps", "a", 0, 0.1, 1 / 3), row("pps", "a", 1, 0.2, 2 / 3),
+            row("pps", "b", 0, 0.2, 0.5), row("pps", "b", 1, 0.1, 0.5),
+            row("pps", "c", 0, 0.0, 0.0), row("pps", "c", 1, 1e-17, 0.1 + 0.2),
+            row("pps", "c", 2, None, None, ("error:DataError",))]
+    rows += [row("bfs", q, 0, 0.3, 0.7, ("zero-support:1", "sample-short")) for q in "abc"]
+    harness.write_results_csv(rows, out / "results.csv")
+    summary, avg_ranks = aggregate(rows)
+    harness.write_summary_csv(summary, out / "summary.csv")
+    harness.write_ranks_csv(avg_ranks, out / "summary_ranks.csv")
+    save_split(SplitSpec(np.array([5, 1]), np.array([3], dtype=np.int32), np.array([0, 2, 4])),
+               out / "split.csv")
+    samples = [ShiftSample(np.array([0, 2, 2]), np.array([1.0, 0.0]), "pps", 3,
+                           params={"n": 3, "target": (2 / 3, 1 / 3), "zipf_exponent": 1.0}),
+               ShiftSample(np.array([4]), np.array([0.0, 1.0]), "rw", 3,
+                           params={"alpha": 0.1, "walk_len": 10}, start=np.int64(4),
+                           flagged=True)]
+    write_manifest(samples, out / "manifest.csv", "samples.txt")
+    return ["results.csv", "summary.csv", "summary_ranks.csv", "split.csv", "manifest.csv"]
+
+
+class TestWrittenFiles:
+    def test_bytes_match_expected_files(self, tmp_path):
+        for name in write_report_files(tmp_path):
+            assert (tmp_path / name).read_bytes() == (EXPECTED_CSV / name).read_bytes(), name
+
+    def test_existing_file_is_replaced(self, tmp_path):
+        (tmp_path / "results.csv").write_text("x" * 10000)
+        write_report_files(tmp_path)
+        assert ((tmp_path / "results.csv").read_bytes()
+                == (EXPECTED_CSV / "results.csv").read_bytes())
+
+    def test_results_read_back_as_written(self, tmp_path):
+        write_report_files(tmp_path)
+        loaded = read_results_csv(tmp_path / "results.csv")
+        harness.write_results_csv(loaded, tmp_path / "again.csv")
+        assert ((tmp_path / "again.csv").read_bytes()
+                == (EXPECTED_CSV / "results.csv").read_bytes())
 
 
 class TestRunExperiment:
@@ -351,20 +431,20 @@ class TestHoisting:
 
         counting(quantifiers, "make_evaluator")
         counting(harness, "fit_classifier")
-        run_experiment(self.hoisting_config(tmp_path), write_csv=False)
+        run_experiment(self.hoisting_config(tmp_path))
         # per repetition: the ppr kernel_q, the default constant kernel_p and
         # one fit per classifier
         assert calls == {"make_evaluator": 2 * 2, "fit_classifier": 2 * 2}
 
     def test_rows_equal_unhoisted_run(self, tmp_path, monkeypatch):
         cfg = self.hoisting_config(tmp_path)
-        hoisted = run_experiment(cfg, write_csv=False)
+        hoisted = run_experiment(cfg)
         original = harness.quantify_batch
 
         def without_cache(*args, weight_cache=None, **kwargs):
             return original(*args, **kwargs)
         monkeypatch.setattr(harness, "quantify_batch", without_cache)
-        assert run_experiment(cfg, write_csv=False) == hoisted
+        assert run_experiment(cfg) == hoisted
 
 
 class TestQuantifierErrors:
@@ -373,7 +453,7 @@ class TestQuantifierErrors:
             raise DataError("weights degenerate")
         monkeypatch.setattr(harness, "quantify_batch", failing)
         with caplog.at_level(logging.WARNING, logger="graphquant.harness"):
-            rows = run_experiment(base_config(tmp_path), write_csv=False)
+            rows = run_experiment(base_config(tmp_path))
         assert len(rows) == 8
         assert all(r.ae is None and r.rae is None and r.flags == ("error:DataError",)
                    for r in rows)
@@ -384,4 +464,4 @@ class TestQuantifierErrors:
             raise RuntimeError("bug")
         monkeypatch.setattr(harness, "quantify_batch", buggy)
         with pytest.raises(RuntimeError):
-            run_experiment(base_config(tmp_path), write_csv=False)
+            run_experiment(base_config(tmp_path))

@@ -326,6 +326,24 @@ class TestWeightsOncePerShift:
                        weight_cache=cache)
         assert calls == [2]
 
+    def test_cache_rebuilt_for_another_graph_or_training_set(self):
+        # a cache keyed by the kernels alone served the first training set's
+        # weights to the second, of the same size: the first sample's q came out
+        # as [0, 0, 1] where a fresh cache gives [0.324, 0, 0.676]
+        g = generate_sbm([30, 30, 30], 0.2, 0.02, seed=3)
+        other_g = generate_sbm([30, 30, 30], 0.2, 0.02, seed=4)
+        rng = np.random.default_rng(5)
+        preds = PredictionSet.from_soft(rng.dirichlet(np.ones(3), size=90))
+        samples = [rng.choice(np.arange(1, 90, 2), size=20) for _ in range(3)]
+        spec = QuantifierSpec(base="acc", kernel_q=KernelSpec.shortest_path())
+        cache: dict = {}
+        for graph, train in [(g, np.arange(0, 90, 2)), (g, np.arange(1, 90, 2)),
+                             (other_g, np.arange(1, 90, 2)), (g, np.arange(1, 90, 2))]:
+            cached = quantify_batch(spec, graph, train, graph.labels[train], samples, preds,
+                                    weight_cache=cache)
+            fresh = quantify_batch(spec, graph, train, graph.labels[train], samples, preds)
+            assert all(np.array_equal(a.q, b.q) for a, b in zip(cached, fresh))
+
     def test_recomputed_batch_gives_fresh_weights(self):
         g = generate_sbm([20, 20], 0.3, 0.05, seed=8)
         train = np.arange(0, 40, 2)
