@@ -8,6 +8,7 @@ aggregate. Exit codes: 0 success, 1 configuration error (a usage error too),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -21,28 +22,42 @@ import numpy as np
 from . import config as config_mod
 from . import harness
 from .classifiers import load_predictions, save_predictions
-from .config import (DEFAULT_FRACTIONS, DEFAULT_LP_DAMPING, DEFAULT_LP_ITERATIONS,
-                     load_config, load_yaml, parse_quantifier_spec)
+from .config import (DEFAULT_FRACTIONS, ENQ, LABEL_PROP, ClassifierConfig, ExperimentConfig,
+                     SbmParams, ShiftConfig, load_config, load_yaml, parse_quantifier_spec)
 from .errors import ConfigError, DataError
 from .graph import (Graph, check_vertex_ids, guarded_loadtxt, load_graph, read_text, save_graph,
                     write_csv)
 from .quantifiers import quantify
-from .shift import (DEFAULT_RW_ALPHA, DEFAULT_RW_WALK_LEN, DEFAULT_SAMPLE_SIZE,
-                    DEFAULT_SEEDS_PER_LABEL, DEFAULT_ZIPF_EXPONENT, SplitSpec,
-                    generate_sbm, load_sample_sections, save_samples, uniform_split,
+from .shift import (SplitSpec, generate_sbm, load_sample_sections, save_samples, uniform_split,
                     write_manifest)
 
 SPLIT_ROLES = ("classifier_train", "quantifier_train", "test")
 
+# The settings flags by command (sample-shift's plus _SEED): keys of config's tables,
+# so a flag's value passes the converter, kind check and default of its key in a config.
+_SEED = {"seed": config_mod._TOP["seed"]}
+_SPLIT = {**config_mod._SPLIT, **_SEED}
+_SAMPLE_SHIFT = {key: conv for keys in config_mod._SHIFT.values() for key, conv in keys.items()}
+_CLASSIFY = {**config_mod._CLASSIFIER[ENQ], **config_mod._CLASSIFIER[LABEL_PROP]}
 
-def _numbers(text: str, kind, flag: str) -> list:
-    """The comma-separated numbers of `kind` given to `flag`; ConfigError naming
-    the flag if one is not a number."""
-    try:
-        return [kind(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated {kind.__name__}s, "
-                          f"got {text!r}") from None
+
+def _flags(args, keys: dict) -> dict:
+    """The given flags of the config `keys` as a config section: a value is an int if int()
+    reads it, so no large id rounds, else a float if float() does, else text."""
+    def read(text):
+        for number in (int, float):
+            with contextlib.suppress(ValueError):
+                return number(text)
+        return text
+    return {key: tuple(map(read, text.split(","))) if getattr(conv, "is_list", False)
+            else read(text) for key, conv in keys.items()
+            if (text := getattr(args, key, None)) is not None}
+
+
+def _run_settings(args, keys: dict, what: str) -> dict:
+    """The experiment-wide settings of `keys`: the flags given, else ExperimentConfig's defaults."""
+    return config_mod._build(dict, _flags(args, keys), keys, what, **{
+        f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name in keys})
 
 
 def _load_graph_args(args) -> Graph:
@@ -113,35 +128,31 @@ def _split_by_row(path, text: str) -> list[list[str]]:
 
 
 def cmd_gen_graph(args) -> int:
-    g = generate_sbm(_numbers(args.blocks, int, "--blocks"), args.p_in, args.p_out,
-                     block_labels=(_numbers(args.block_labels, int, "--block-labels")
-                                   if args.block_labels else None),
-                     seed=args.seed)
+    sbm = config_mod._build(SbmParams, _flags(args, config_mod._SBM), config_mod._SBM, "sbm")
+    g = generate_sbm(**dataclasses.asdict(sbm))
     save_graph(g, args.out_edges, labels_path=args.out_labels)
     print(f"wrote {g.n} vertices, {g.num_edges} edges")
     return 0
 
 
 def cmd_split(args) -> int:
-    g = _load_graph_args(args)
-    split = uniform_split(g, _numbers(args.fractions, float, "--fractions"), seed=args.seed)
+    settings = _run_settings(args, _SPLIT, "split")
+    split = uniform_split(_load_graph_args(args), **settings)
     save_split(split, args.out)
-    sizes = [len(split.classifier_train), len(split.quantifier_train), len(split.test)]
-    print(f"split sizes: {sizes}")
+    print(f"split sizes: {[len(getattr(split, role)) for role in SPLIT_ROLES]}")
     return 0
 
 
 def cmd_sample_shift(args) -> int:
+    shift_cfg = config_mod._section(ShiftConfig, config_mod._SHIFT, "{kind} {key}")(
+        _flags(args, _SAMPLE_SHIFT), "shift", None)
+    run = _run_settings(args, _SEED, "sample-shift")
     g = _load_graph_args(args)
     if g.labels is None:
         raise DataError("shift sampling needs a labels file")
-    split = load_split(args.split, g.n)
-    pool = split.test
-    shift_cfg = config_mod.ShiftConfig(
-        kind=args.kind, n=args.n, num_dists=args.num_dists, zipf_exponent=args.zipf_exponent,
-        seeds_per_label=args.seeds_per_label, walk_len=args.walk_len, alpha=args.alpha)
+    pool = load_split(args.split, g.n).test
     samples = harness.draw_samples(shift_cfg, g, pool, g.labels[pool],
-                                   seed=args.seed, num_classes=g.num_classes)
+                                   num_classes=g.num_classes, **run)
     save_samples(samples, args.out)
     write_manifest(samples, args.manifest, args.out)
     print(f"wrote {len(samples)} samples")
@@ -149,13 +160,12 @@ def cmd_sample_shift(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    cfg = config_mod._section(ClassifierConfig, config_mod._CLASSIFIER, "{kind} {key}")(
+        {**_flags(args, _CLASSIFY), "kind": args.variant.replace("-", "_")}, "classifier", None)
     g = _load_graph_args(args)
     if g.labels is None:
         raise DataError("classification needs a labels file")
-    split = load_split(args.split, g.n)
-    train = split.classifier_train
-    cfg = config_mod.ClassifierConfig(kind=args.variant.replace("-", "_"),
-                                      iterations=args.iterations, damping=args.damping)
+    train = load_split(args.split, g.n).classifier_train
     preds = harness.fit_classifier(cfg, g, train, g.labels[train])
     save_predictions(preds, args.out)
     print(f"wrote predictions for {preds.n} vertices")
@@ -210,6 +220,13 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
+def _add_settings(p, keys: dict) -> None:
+    """A flag for each config key of `keys` but kind and name, with no type or default."""
+    for key in keys:
+        if key not in ("kind", "name"):
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
+
+
 def _add_graph_args(p):
     p.add_argument("--edges", required=True, help="edge file (one 'u v' per line)")
     p.add_argument("--labels", help="labels file (one integer per line)")
@@ -231,36 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="generate a planted-partition graph")
-    p.add_argument("--blocks", required=True, help="comma-separated block sizes")
-    p.add_argument("--p-in", type=float, required=True, dest="p_in")
-    p.add_argument("--p-out", type=float, required=True, dest="p_out")
-    p.add_argument("--block-labels", help="comma-separated label per block")
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, config_mod._SBM)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--out-labels", required=True)
     p.set_defaults(func=cmd_gen_graph)
 
     p = sub.add_parser("split", help="uniform split into train/train/test")
     _add_graph_args(p)
-    p.add_argument("--fractions", default=",".join(str(f) for f in DEFAULT_FRACTIONS))
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, _SPLIT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("sample-shift", help="draw shifted test samples from the test partition")
     _add_graph_args(p)
     p.add_argument("--split", required=True)
-    p.add_argument("--kind", choices=["pps", "bfs", "rw"], required=True)
-    p.add_argument("--n", type=int, default=DEFAULT_SAMPLE_SIZE)
-    p.add_argument("--num-dists", type=int, dest="num_dists",
-                   help="PPS target distributions (default 10*K)")
-    p.add_argument("--zipf-exponent", type=float, default=DEFAULT_ZIPF_EXPONENT,
-                   dest="zipf_exponent")
-    p.add_argument("--seeds-per-label", type=int, default=DEFAULT_SEEDS_PER_LABEL,
-                   dest="seeds_per_label")
-    p.add_argument("--walk-len", type=int, default=DEFAULT_RW_WALK_LEN, dest="walk_len")
-    p.add_argument("--alpha", type=float, default=DEFAULT_RW_ALPHA)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kind", choices=list(config_mod._SHIFT), required=True)
+    _add_settings(p, {**_SAMPLE_SHIFT, **_SEED})
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_sample_shift)
@@ -269,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--split", required=True)
     p.add_argument("--variant", choices=["enq", "label-prop"], default="enq")
-    p.add_argument("--iterations", type=int, default=DEFAULT_LP_ITERATIONS)
-    p.add_argument("--damping", type=float, default=DEFAULT_LP_DAMPING)
+    _add_settings(p, _CLASSIFY)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_classify)
 
@@ -306,10 +308,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing file, a directory, no permission
+    except (DataError, OSError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -225,6 +225,7 @@ def _list(item, name: str = "{key}[{i}]"):
     def converter(value, key, what):
         return tuple(item(v, name.format(key=key, i=i), what)
                      for i, v in enumerate(_sequence(value, key, what)))
+    converter.is_list = True  # the command line gives its items comma-separated
     return converter
 
 

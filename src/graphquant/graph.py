@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -197,10 +198,24 @@ def check_real(value, what: str, interval: str) -> int | float:
 
 
 def check_vertex_total(n) -> int:
-    """`n`, a vertex count, as an int; a DataError past MAX_VERTICES, before any allocation."""
+    """`n`, a vertex count, as an int; a DataError past MAX_VERTICES, or if the
+    vertex index would not fit in free memory, before any allocation."""
     if check_count(n, "vertex count") > MAX_VERTICES:
         raise DataError(f"{n} vertices exceed the vertex limit of 2**31")
+    # from_edges' indptr and the searchsorted probe that builds it: n + 1 int64 each
+    need, free = 16 * (int(n) + 1), available_memory()
+    if free is not None and need > free:
+        raise DataError(f"{n} vertices need {need / 2**30:.1f} GiB for the vertex index, "
+                        f"more than the {free / 2**30:.1f} GiB of free memory")
     return int(n)
+
+
+def available_memory() -> int | None:
+    """Bytes of physical memory free now, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def check_probability_rows(probs, K: int | None, tol: float) -> np.ndarray:

@@ -12,7 +12,7 @@ import io
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -195,8 +195,7 @@ def _derive_seed(*parts) -> int:
 def load_dataset(cfg: ExperimentConfig) -> Graph:
     ds = cfg.dataset
     if ds.sbm is not None:
-        return generate_sbm(ds.sbm.blocks, ds.sbm.p_in, ds.sbm.p_out,
-                            block_labels=ds.sbm.block_labels, seed=ds.sbm.seed)
+        return generate_sbm(**asdict(ds.sbm))
     return load_graph(ds.edges, labels_path=ds.labels, features_path=ds.features)
 
 

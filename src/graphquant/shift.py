@@ -17,8 +17,8 @@ import numpy as np
 
 from .classifiers import check_labels
 from .errors import ConfigError, DataError
-from .graph import (Graph, check_count, check_label_array, check_real, check_vertex_ids,
-                    check_vertex_total, read_text, write_csv)
+from .graph import (Graph, bfs_distances, check_count, check_label_array, check_real,
+                    check_vertex_ids, check_vertex_total, read_text, write_csv)
 
 DEFAULT_SAMPLE_SIZE = 100
 DEFAULT_SEEDS_PER_LABEL = 10
@@ -26,6 +26,7 @@ DEFAULT_ZIPF_EXPONENT = 1.0
 DEFAULT_RW_WALK_LEN = 10
 DEFAULT_RW_ALPHA = 0.1
 RW_STEP_BUDGET_FACTOR = 1000  # steps allowed per requested sample vertex
+RW_REACH_CHECK_FACTOR = 10    # steps per requested vertex before RW counts what it can reach
 SBM_CHUNK_ROWS = 64           # rows of a block pair drawn at once by generate_sbm
 
 
@@ -248,7 +249,10 @@ def sample_rw(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAU
     """Random-walk covariate-shift samples: per start vertex, run teleporting
     walks of walk_len steps (teleport back to the start with probability alpha)
     until n distinct pool vertices have been visited or the step budget of
-    1000*n runs out (then flagged).
+    1000*n runs out (then flagged). A walk still short of n after 10*n steps
+    counts, once, the pool vertices its walks can reach (those in the start's
+    component within walk_len hops), and stops, flagged, once it has visited
+    all of them.
     """
     alpha = check_real(alpha, "RW sampling alpha", "[0, 1]")
     walk_len = check_count(walk_len, "RW sampling (walk_len >= 1): walk_len", 1)
@@ -273,12 +277,17 @@ def _rw_collect(g: Graph, in_pool: np.ndarray, start: int, n: int, walk_len: int
     if g.degrees[start] == 0:
         return np.asarray(order, dtype=np.int64), True
     budget = RW_STEP_BUDGET_FACTOR * n
+    reachable = None  # pool vertices within walk_len hops of the start, once counted
     steps = 0
     flagged = False
     while len(order) < n:
         current = start
         for _ in range(walk_len):
-            if steps >= budget:
+            if steps == RW_REACH_CHECK_FACTOR * n:
+                hops = bfs_distances(g, [start])[0]  # its maximum marks no path
+                reachable = np.count_nonzero(
+                    in_pool & (hops < min(walk_len + 1, np.iinfo(hops.dtype).max)))
+            if steps >= budget or len(order) == reachable:
                 flagged = True
                 break
             steps += 1

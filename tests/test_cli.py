@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,9 +8,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphquant import harness
+from graphquant import cli, graph, harness
 from graphquant.cli import SPLIT_ROLES, build_parser, load_split, main
-from graphquant.errors import DataError
+from graphquant.config import parse_config
+from graphquant.errors import ConfigError, DataError
 from graphquant.graph import check_vertex_ids, load_graph
 from graphquant.shift import SplitSpec
 
@@ -401,8 +403,174 @@ class TestParser:
         first = parser.parse_args(["split", "--edges", str(edges), "--out", str(out),
                                    "--seed", "3"])
         second = parser.parse_args(["split", "--edges", str(edges), "--out", str(out)])
-        assert first.seed == 3 and second.seed == 0 and second.labels is None
+        # a flag stays text until config reads it; one not given is None, so the
+        # dataclass default applies
+        assert first.seed == "3" and second.seed is None and second.labels is None
         assert run("split", "--edges", edges, "--labels", labels, "--out", out) == 0
+
+
+class _Captured(Exception):
+    pass
+
+
+def capture(record):
+    """A stand-in for the function a command passes its settings to: records its
+    arguments, then stops the command."""
+    def stop(*args, **kwargs):
+        record.append((args, kwargs))
+        raise _Captured
+    return stop
+
+
+# Flag values and their YAML twins: integers (some past a float's precision),
+# whole and other floats, infinities and text that no number parser reads.
+SCALARS = st.one_of(st.integers(-3, 60), st.integers(2 ** 53, 2 ** 70),
+                    st.integers(0, 60).map(float), st.floats(-1e3, 1e3),
+                    st.floats(allow_nan=False), st.sampled_from(["abc", "x1", "true"]))
+SEEDS = st.one_of(st.integers(0, 2 ** 70), st.integers(0, 60).map(float),
+                  st.floats(0, 1e3), st.sampled_from(["abc"]))
+
+
+def flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(flag_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def some_of(keys: dict):
+    """Settings: a value for each of some of `keys` (key -> strategy)."""
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+SETTINGS = {
+    "gen-graph": some_of({"blocks": st.lists(SCALARS, min_size=1, max_size=3),
+                          "p_in": SCALARS, "p_out": SCALARS,
+                          "block_labels": st.lists(SCALARS, min_size=1, max_size=3),
+                          "seed": SCALARS}),
+    "split": some_of({"fractions": st.lists(SCALARS, min_size=3, max_size=3), "seed": SEEDS}),
+    "sample-shift": st.tuples(st.sampled_from(["pps", "bfs", "rw"]), some_of(
+        {key: SCALARS for key in ["n", "num_dists", "zipf_exponent", "seeds_per_label",
+                                  "walk_len", "alpha"]}), some_of({"seed": SEEDS})),
+    "classify": st.tuples(st.sampled_from(["enq", "label_prop"]),
+                          some_of({"iterations": SCALARS, "damping": SCALARS})),
+}
+
+
+@pytest.fixture(scope="module")
+def graph_and_split(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("flags")
+    edges, labels = make_graph_files(tmp_path)
+    assert run("split", "--edges", edges, "--labels", labels, "--out", tmp_path / "s.csv") == 0
+    return ["--edges", edges, "--labels", labels, "--split", tmp_path / "s.csv"]
+
+
+class TestFlagsAreConfigKeys:
+    """Each settings flag is a config key: the same settings given as flags and as
+    YAML give equal config objects, or a configuration error both ways."""
+
+    def from_flags(self, command, settings, files):
+        """The settings object `command` builds from `settings` as flags."""
+        record = []
+        if command == "sample-shift":
+            (kind, shift, seed), target = settings, (harness, "draw_samples")
+            argv = ["--kind", kind, *files, "--out", "o", "--manifest", "m"]
+            settings = {**shift, **seed}
+        elif command == "classify":
+            (kind, settings), target = settings, (harness, "fit_classifier")
+            argv = ["--variant", kind.replace("_", "-"), *files, "--out", "o"]
+        elif command == "split":
+            target, argv = (cli, "uniform_split"), [*files[:4], "--out", "o"]
+        else:
+            target, argv = (cli, "generate_sbm"), ["--out-edges", "e", "--out-labels", "y"]
+        argv += [f"--{key.replace('_', '-')}={flag_text(value)}"
+                 for key, value in settings.items()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(*target, capture(record))
+            code = run(command, *argv)
+        if not record:
+            assert code == 1
+            return ConfigError
+        args, kwargs = record[0]
+        if command == "sample-shift":
+            return args[0], kwargs["seed"]
+        return args[0] if command == "classify" else kwargs
+
+    def from_yaml(self, command, settings):
+        """The same settings object from a config whose other sections are fixed."""
+        cfg = {"dataset": {"sbm": {"blocks": [4], "p_in": 0.5, "p_out": 0.1}},
+               "classifiers": [{"kind": "enq"}], "quantifiers": [{"base": "cc"}],
+               "shifts": [{"kind": "pps"}]}
+        if command == "gen-graph":
+            cfg["dataset"]["sbm"] = settings
+        elif command == "split":
+            cfg.update({key: value for key, value in settings.items() if key == "seed"})
+            if "fractions" in settings:
+                cfg["split"] = {"fractions": settings["fractions"]}
+        elif command == "sample-shift":
+            kind, shift, seed = settings
+            cfg.update(shifts=[{"kind": kind, **shift}], **seed)
+        else:
+            kind, classifier = settings
+            cfg["classifiers"] = [{"kind": kind, **classifier}]
+        try:
+            parsed = parse_config(yaml.safe_load(yaml.safe_dump(cfg)))
+        except ConfigError:
+            return ConfigError
+        if command == "gen-graph":
+            return dataclasses.asdict(parsed.dataset.sbm)
+        if command == "split":
+            return {"fractions": parsed.fractions, "seed": parsed.seed}
+        if command == "sample-shift":
+            return parsed.shifts[0], parsed.seed
+        return parsed.classifiers[0]
+
+    @pytest.mark.parametrize("command", list(SETTINGS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_flags_and_yaml_agree(self, command, graph_and_split, data):
+        settings_ = data.draw(SETTINGS[command])
+        assert self.from_flags(command, settings_, graph_and_split) \
+            == self.from_yaml(command, settings_)
+
+    def test_large_integer_is_not_rounded(self, graph_and_split):
+        record = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "draw_samples", capture(record))
+            run("sample-shift", "--kind", "bfs", *graph_and_split, "--n", 2 ** 60 + 1,
+                "--seed", 2 ** 64 + 1, "--out", "o", "--manifest", "m")
+        (shift, *_), kwargs = record[0]
+        assert shift.n == 2 ** 60 + 1 and kwargs["seed"] == 2 ** 64 + 1
+
+    @pytest.mark.parametrize("argv,message", [
+        # the first two exited 0, the flags of another kind ignored
+        (["sample-shift", "--kind", "pps", "--walk-len", 99, "--alpha", 5, "--manifest", "m"],
+         "unknown key 'alpha' in pps shift"),
+        (["classify", "--variant", "enq", "--damping", 5, "--iterations", 3],
+         "unknown key 'damping' in enq classifier"),
+        (["sample-shift", "--kind", "bfs", "--zipf-exponent", 2, "--manifest", "m"],
+         "unknown key 'zipf_exponent' in bfs shift"),
+        (["sample-shift", "--kind", "rw", "--num-dists", 2, "--manifest", "m"],
+         "unknown key 'num_dists' in rw shift"),
+    ])
+    def test_flag_of_another_kind_is_one_naming_key_and_kind(self, graph_and_split, argv,
+                                                              message, capsys):
+        assert run(*argv, *graph_and_split, "--out", "o") == 1
+        assert message in capsys.readouterr().err
+
+    def test_whole_float_seed_reads_as_the_integer(self, tmp_path):
+        # --seed 1.0 was a usage error, while a config's seed: 1.0 reads 1
+        outputs = []
+        for seed in ("1", "1.0"):
+            edges, labels = tmp_path / f"{seed}.edges", tmp_path / f"{seed}.labels"
+            assert run("gen-graph", "--blocks", "20,20", "--p-in", "0.3", "--p-out", "0.05",
+                       "--seed", seed, "--out-edges", edges, "--out-labels", labels) == 0
+            outputs.append((edges.read_bytes(), labels.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_names_perfbench_imports_stay(self):
+        # the benchmark builds its split files with these
+        from graphquant.cli import DEFAULT_FRACTIONS, save_split
+        assert DEFAULT_FRACTIONS == (0.05, 0.15, 0.80) and callable(save_split)
 
 
 class TestExitCodes:
@@ -436,6 +604,15 @@ class TestExitCodes:
         edges.write_text("0 1\n1000000000000 2\n")
         assert run("split", "--edges", edges, "--out", tmp_path / "s.csv") == 2
         assert "vertex limit of 2**31" in capsys.readouterr().err
+
+    def test_vertex_index_past_free_memory_is_two(self, tmp_path, capsys, monkeypatch):
+        # an id near 2*10**9, under the vertex limit, without a labels file: the
+        # indptr of about 16 GB was allocated first
+        monkeypatch.setattr(graph, "available_memory", lambda: 4 * 2 ** 30)
+        edges = tmp_path / "near.edges"
+        edges.write_text("0 1\n2000000000 2\n")
+        assert run("split", "--edges", edges, "--out", tmp_path / "s.csv") == 2
+        assert "more than the 4.0 GiB of free memory" in capsys.readouterr().err
 
     def test_missing_file_is_two(self, tmp_path):
         assert run("split", "--edges", tmp_path / "nope.edges",

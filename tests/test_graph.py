@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphquant import graph
 from graphquant.errors import ConfigError, DataError
 from graphquant.graph import (Graph, _parse_edge_file, _parse_features_file,
                               _parse_labels_file, bfs_distances, check_count, check_vertex_ids,
@@ -457,6 +458,22 @@ class TestVertexLimit:
         # in a MemoryError for the n + 1 row offsets
         with pytest.raises(DataError, match="vertex limit of 2\\*\\*31"):
             Graph.from_edges(10 ** 12, [(0, 1)])
+
+    def test_vertex_index_past_free_memory_rejected_before_allocating(self, monkeypatch):
+        # an id near 2*10**9 below the limit made from_edges build an indptr of
+        # about 16 GB; free memory is set here, so no test asks for that much
+        monkeypatch.setattr(graph, "available_memory", lambda: 2 ** 30)
+        assert Graph.from_edges(4, [(0, 1), (2, 3)]).num_edges == 2
+        with pytest.raises(DataError, match="2000000001 vertices need 29.8 GiB for the vertex "
+                                            "index, more than the 1.0 GiB of free memory"):
+            Graph.from_edges(2 * 10 ** 9 + 1, [(0, 1)])
+        monkeypatch.setattr(graph, "available_memory", lambda: 16 * 5 - 1)
+        with pytest.raises(DataError, match="free memory"):
+            Graph.from_edges(4, [(0, 1)])
+
+    def test_no_memory_figure_means_no_memory_check(self, monkeypatch):
+        monkeypatch.setattr(graph, "available_memory", lambda: None)
+        assert Graph.from_edges(4, [(0, 1)]).n == 4
 
 
 def is_whole_oracle(value) -> bool:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphquant import graph
+from graphquant import graph, shift
 from graphquant.config import ShiftConfig
 from graphquant.errors import ConfigError, DataError
 from graphquant.graph import Graph, check_vertex_ids
@@ -295,6 +295,35 @@ class TestRw:
             verts = s.vertices.tolist()
             assert len(set(verts)) == len(verts)
             assert set(verts) <= pool_set
+
+    def test_walk_stops_once_it_has_seen_every_vertex_it_can_reach(self, monkeypatch):
+        # components of 6, 2 and 2 vertices and n = 50: each walk ran all 50,000
+        # steps of its budget; it now stops soon after 10 * n steps, with the
+        # sample it would have returned anyway
+        g = Graph.from_edges(10, [(i, i + 1) for i in range(5)] + [(6, 7), (8, 9)],
+                             labels=[0, 1] * 5)
+        pool = np.array([0, 1, 3, 5, 6, 8])
+        steps = []
+        real = Graph.neighbors
+        monkeypatch.setattr(Graph, "neighbors", lambda self, v: steps.append(v) or real(self, v))
+        early = sample_rw(g, pool, g.labels[pool], seeds_per_label=1, n=50, walk_len=3,
+                          alpha=0.1, seed=2)
+        assert 0 < len(steps) <= 2 * shift.RW_REACH_CHECK_FACTOR * 50
+        monkeypatch.setattr(shift, "RW_REACH_CHECK_FACTOR", shift.RW_STEP_BUDGET_FACTOR + 1)
+        full = sample_rw(g, pool, g.labels[pool], seeds_per_label=1, n=50, walk_len=3,
+                         alpha=0.1, seed=2)
+        for a, b in zip(early, full, strict=True):
+            assert np.array_equal(a.vertices, b.vertices) and a.flagged and b.flagged
+            within = graph.bfs_distances(g, [a.start])[0] <= 3
+            assert sorted(a.vertices) == [v for v in pool if within[v]]
+
+    def test_reach_is_not_counted_while_the_walk_keeps_up(self, monkeypatch):
+        def spy(*args):
+            pytest.fail("a walk that found n vertices counted its component")
+        monkeypatch.setattr(shift, "bfs_distances", spy)
+        g = generate_sbm([40, 40], 0.2, 0.05, seed=6)
+        samples = sample_rw(g, np.arange(80), g.labels, seeds_per_label=2, n=60, seed=8)
+        assert all(len(s.vertices) == 60 and not s.flagged for s in samples)
 
     def test_deterministic(self):
         g = generate_sbm([40, 40], 0.2, 0.05, seed=6)
