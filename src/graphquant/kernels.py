@@ -53,7 +53,8 @@ class KernelSpec:
             object.__setattr__(self, "walk_len", check_count(self.walk_len, "ppr walk_len", 1))
             object.__setattr__(self, "interp", check_real(self.interp, "ppr interp", "[0, 1]"))
         if self.kind == SHORTEST_PATH:
-            object.__setattr__(self, "gamma", check_real(self.gamma, "sp gamma", "(0, inf)"))
+            # a float: an integer -gamma does not fit the uint8 hop block it scales
+            object.__setattr__(self, "gamma", float(check_real(self.gamma, "sp gamma", "(0, inf)")))
 
     @classmethod
     def constant(cls) -> "KernelSpec":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ DEFAULT_ZIPF_EXPONENT = 1.0
 DEFAULT_RW_WALK_LEN = 10
 DEFAULT_RW_ALPHA = 0.1
 RW_STEP_BUDGET_FACTOR = 1000  # steps allowed per requested sample vertex
-RW_REACH_CHECK_FACTOR = 10    # steps per requested vertex before RW counts what it can reach
+RW_REACH_CHECK_FACTOR = 10    # steps per vertex of min(n, pool size) before RW counts its reach
 SBM_CHUNK_ROWS = 64           # rows of a block pair drawn at once by generate_sbm
 
 
@@ -45,7 +46,7 @@ class ShiftSample:
     seed: int
     params: dict = field(default_factory=dict)
     start: int | None = None    # seed vertex for BFS/RW samples
-    flagged: bool = False       # short sample / exhausted budget
+    flagged: bool = False       # fewer vertices than the n asked for
 
 
 def largest_remainder_counts(total: int, shares) -> np.ndarray:
@@ -166,7 +167,7 @@ def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
     """The start-vertex loop shared by the BFS and RW samplers: per label, pick
     up to seeds_per_label start vertices of that label from the pool, and build
     one sample of up to n vertices from each with
-    collect(in_pool, start, n, rng) -> (vertices, flagged).
+    collect(g, in_pool, start, n, rng) -> vertices.
 
     Labels absent from the pool are skipped with a warning.
     """
@@ -193,13 +194,13 @@ def _start_vertex_samples(sampler: str, g: Graph, pool_vertices, pool_labels,
         for start in starts:
             idx = len(samples)
             rng = np.random.default_rng(np.random.SeedSequence([seed, 1, idx]))
-            collected, flagged = collect(in_pool, int(start), n, rng)
+            collected = collect(g, in_pool, int(start), n, rng)
             samples.append(ShiftSample(
                 vertices=collected, true_prev=_realized_prev(label_lookup[collected], K),
                 sampler=sampler, seed=seed,
                 params={"sample": idx, "seeds_per_label": seeds_per_label, "n": n, **params,
                         "label": label},
-                start=int(start), flagged=flagged))
+                start=int(start), flagged=len(collected) < n))
     return samples
 
 
@@ -212,24 +213,17 @@ def sample_bfs(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFA
     Samples from components with fewer than n pool vertices are shorter and
     flagged; labels absent from the pool are skipped.
     """
-    def collect(in_pool, start, n, rng):
-        return _bfs_collect(g, in_pool, start, n, rng)
     return _start_vertex_samples("bfs", g, pool_vertices, pool_labels, seeds_per_label, n, seed,
-                                 num_classes, collect, {})
+                                 num_classes, _bfs_collect, {})
 
 
 def _bfs_collect(g: Graph, in_pool: np.ndarray, start: int, n: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+                 rng: np.random.Generator) -> np.ndarray:
     visited = np.zeros(g.n, dtype=bool)
     visited[start] = True
-    collected = []
-    frontier = [start]
-    while frontier and len(collected) < n:
-        for v in frontier:
-            if in_pool[v]:
-                collected.append(v)
-                if len(collected) == n:
-                    break
+    collected, frontier = [], [start]
+    while frontier:
+        collected += [v for v in frontier if in_pool[v]][:n - len(collected)]
         if len(collected) == n:
             break
         nxt = []
@@ -240,7 +234,7 @@ def _bfs_collect(g: Graph, in_pool: np.ndarray, start: int, n: int,
                     nxt.append(u)
         rng.shuffle(nxt)
         frontier = nxt
-    return np.asarray(collected, dtype=np.int64), len(collected) < n
+    return np.asarray(collected, dtype=np.int64)
 
 
 def sample_rw(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAULT_SEEDS_PER_LABEL,
@@ -249,59 +243,38 @@ def sample_rw(g: Graph, pool_vertices, pool_labels, seeds_per_label: int = DEFAU
     """Random-walk covariate-shift samples: per start vertex, run teleporting
     walks of walk_len steps (teleport back to the start with probability alpha)
     until n distinct pool vertices have been visited or the step budget of
-    1000*n runs out (then flagged). A walk still short of n after 10*n steps
-    counts, once, the pool vertices its walks can reach (those in the start's
-    component within walk_len hops), and stops, flagged, once it has visited
-    all of them.
+    1000*n runs out (then flagged). A walk still short of n after 10*m steps,
+    m the smaller of n and the pool size, counts, once, the pool vertices its
+    walks can reach (those in the start's component within walk_len hops), and
+    stops, flagged, once it has visited all of them.
     """
     alpha = check_real(alpha, "RW sampling alpha", "[0, 1]")
     walk_len = check_count(walk_len, "RW sampling (walk_len >= 1): walk_len", 1)
-
-    def collect(in_pool, start, n, rng):
-        return _rw_collect(g, in_pool, start, n, walk_len, alpha, rng)
     return _start_vertex_samples("rw", g, pool_vertices, pool_labels, seeds_per_label, n, seed,
-                                 num_classes, collect, {"walk_len": walk_len, "alpha": alpha})
+                                 num_classes, partial(_rw_collect, walk_len=walk_len, alpha=alpha),
+                                 {"walk_len": walk_len, "alpha": alpha})
 
 
-def _rw_collect(g: Graph, in_pool: np.ndarray, start: int, n: int, walk_len: int,
-                alpha: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    seen = set()
-    order = []
-
-    def visit(v):
-        if in_pool[v] and v not in seen:
-            seen.add(v)
-            order.append(v)
-
-    visit(start)
-    if g.degrees[start] == 0:
-        return np.asarray(order, dtype=np.int64), True
-    budget = RW_STEP_BUDGET_FACTOR * n
-    reachable = None  # pool vertices within walk_len hops of the start, once counted
-    steps = 0
-    flagged = False
-    while len(order) < n:
-        current = start
-        for _ in range(walk_len):
-            if steps == RW_REACH_CHECK_FACTOR * n:
-                hops = bfs_distances(g, [start])[0]  # its maximum marks no path
-                reachable = np.count_nonzero(
-                    in_pool & (hops < min(walk_len + 1, np.iinfo(hops.dtype).max)))
-            if steps >= budget or len(order) == reachable:
-                flagged = True
-                break
-            steps += 1
-            if rng.random() < alpha:
-                current = start
-            else:
-                nbrs = g.neighbors(current)
-                current = int(nbrs[rng.integers(len(nbrs))])
-            visit(current)
-            if len(order) == n:
-                break
-        if flagged or len(order) == n:
+def _rw_collect(g: Graph, in_pool: np.ndarray, start: int, n: int, rng: np.random.Generator,
+                walk_len: int, alpha: float) -> np.ndarray:
+    seen = {start: None}  # the pool vertices visited, in the order first visited
+    reach_at = RW_REACH_CHECK_FACTOR * min(n, np.count_nonzero(in_pool))
+    limit = n  # min(n, the pool vertices the walks can reach), once those are counted
+    for step in range(RW_STEP_BUDGET_FACTOR * n if g.degrees[start] else 0):
+        if step == reach_at and len(seen) < n:
+            hops = bfs_distances(g, [start])[0]  # its maximum marks no path
+            limit = min(n, np.count_nonzero(
+                in_pool & (hops < min(walk_len + 1, np.iinfo(hops.dtype).max))))
+        if len(seen) == limit:
             break
-    return np.asarray(order, dtype=np.int64), flagged or len(order) < n
+        if rng.random() < alpha:
+            current = start
+        else:  # a new walk sets out from the start every walk_len steps
+            nbrs = g.neighbors(start if step % walk_len == 0 else current)
+            current = int(nbrs[rng.integers(len(nbrs))])
+        if in_pool[current]:
+            seen[current] = None
+    return np.array(list(seen), dtype=np.int64)
 
 
 def generate_sbm(blocks, p_in: float, p_out: float, block_labels=None, seed: int = 0) -> Graph:

@@ -356,6 +356,16 @@ class TestEvaluateKernel:
         values = kernel_values(KernelSpec.shortest_path(gamma=3.0), g, [0], [2])
         assert values[0, 0] == 0.0
 
+    @pytest.mark.parametrize("gamma", [3, np.int64(2)])
+    def test_shortest_path_integer_gamma_is_a_float(self, gamma):
+        # an integer gamma ended in OverflowError: -gamma did not fit the uint8 hop block
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        spec = KernelSpec.shortest_path(gamma)
+        assert type(spec.gamma) is float
+        assert np.array_equal(kernel_values(spec, g, [0, 2], [0, 1, 2]),
+                              kernel_values(KernelSpec.shortest_path(float(gamma)), g, [0, 2],
+                                            [0, 1, 2]))
+
     def test_shortest_path_monotone_in_distance(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         vals = kernel_values(KernelSpec.shortest_path(gamma=0.5), g, [0], range(5))[0]

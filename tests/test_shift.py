@@ -119,6 +119,93 @@ class TestUniformSplit:
             uniform_split(g, fractions, seed=0)
 
 
+def oracle_bfs_collect(g, in_pool, start, n, rng):
+    """The BFS collector as written before shift._bfs_collect became one level
+    loop, returning (vertices, flagged): its oracle."""
+    visited = np.zeros(g.n, dtype=bool)
+    visited[start] = True
+    collected = []
+    frontier = [start]
+    while frontier and len(collected) < n:
+        for v in frontier:
+            if in_pool[v]:
+                collected.append(v)
+                if len(collected) == n:
+                    break
+        if len(collected) == n:
+            break
+        nxt = []
+        for v in frontier:
+            for u in g.neighbors(v):
+                if not visited[u]:
+                    visited[u] = True
+                    nxt.append(u)
+        rng.shuffle(nxt)
+        frontier = nxt
+    return np.asarray(collected, dtype=np.int64), len(collected) < n
+
+
+def oracle_rw_collect(g, in_pool, start, n, rng, walk_len, alpha):
+    """The RW collector as written before shift._rw_collect became one step
+    loop (nested walks, reach counted at RW_REACH_CHECK_FACTOR * n steps),
+    returning (vertices, flagged): its oracle, with its arguments reordered
+    to the collectors' call."""
+    seen = set()
+    order = []
+
+    def visit(v):
+        if in_pool[v] and v not in seen:
+            seen.add(v)
+            order.append(v)
+
+    visit(start)
+    if g.degrees[start] == 0:
+        return np.asarray(order, dtype=np.int64), True
+    budget = shift.RW_STEP_BUDGET_FACTOR * n
+    reachable = None  # pool vertices within walk_len hops of the start, once counted
+    steps = 0
+    flagged = False
+    while len(order) < n:
+        current = start
+        for _ in range(walk_len):
+            if steps == shift.RW_REACH_CHECK_FACTOR * n:
+                hops = graph.bfs_distances(g, [start])[0]  # its maximum marks no path
+                reachable = np.count_nonzero(
+                    in_pool & (hops < min(walk_len + 1, np.iinfo(hops.dtype).max)))
+            if steps >= budget or len(order) == reachable:
+                flagged = True
+                break
+            steps += 1
+            if rng.random() < alpha:
+                current = start
+            else:
+                nbrs = g.neighbors(current)
+                current = int(nbrs[rng.integers(len(nbrs))])
+            visit(current)
+            if len(order) == n:
+                break
+        if flagged or len(order) == n:
+            break
+    return np.asarray(order, dtype=np.int64), flagged or len(order) < n
+
+
+@st.composite
+def start_vertex_cases(draw):
+    """A planted-partition graph, a pool drawn from its vertices (duplicates
+    allowed; vertices in other components or past walk_len hops of a start are
+    common) and the BFS/RW settings. With alpha = 1 a walk never leaves its
+    start and runs its whole 1000 * n step budget, so n stays at most 20 there."""
+    blocks = draw(st.lists(st.integers(1, 30), min_size=2, max_size=3))
+    g = generate_sbm(blocks, draw(st.sampled_from([0.3, 0.1, 1.0, 0.0])),
+                     draw(st.sampled_from([0.05, 0.2, 0.0])), seed=draw(st.integers(0, 2 ** 16)))
+    pool = np.random.default_rng(draw(st.integers(0, 2 ** 16))).choice(
+        g.n, size=draw(st.integers(1, 2 * g.n)))  # with replacement
+    alpha = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    sizes = {"n": draw(st.sampled_from([5, 20, 1, 2] if alpha == 1.0 else [5, 20, 200, 1, 2])),
+             "seeds_per_label": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2 ** 16))}
+    return g, pool, sizes, {"walk_len": draw(st.integers(1, 5)), "alpha": alpha}
+
+
 def labeled_pool(sizes, seed=0):
     labels = np.concatenate([np.full(s, i) for i, s in enumerate(sizes)])
     vertices = np.arange(len(labels))
@@ -261,6 +348,42 @@ class TestStartVertices:
             assert [len(s.true_prev) for s in samples] == [3, 3]
             assert [s.params["label"] for s in samples] == [0, 2]
 
+    @pytest.mark.filterwarnings("ignore:.*absent from the pool")
+    @given(case=start_vertex_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_samples_match_the_oracle_collectors(self, case):
+        g, pool, sizes, walk = case
+        for sampler, name, oracle, kwargs in [(sample_bfs, "_bfs_collect", oracle_bfs_collect, {}),
+                                              (sample_rw, "_rw_collect", oracle_rw_collect, walk)]:
+            actual = sampler(g, pool, g.labels[pool], **sizes, **kwargs)
+            oracle_flags = []
+
+            def collect(*args, oracle=oracle, **kw):
+                vertices, flagged = oracle(*args, **kw)
+                oracle_flags.append(flagged)
+                return vertices
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(shift, name, collect)
+                expected = sampler(g, pool, g.labels[pool], **sizes, **kwargs)
+            assert len(actual) == len(expected) == len(oracle_flags)
+            for a, e, flagged in zip(actual, expected, oracle_flags):
+                assert a.vertices.dtype == e.vertices.dtype == np.int64
+                assert np.array_equal(a.vertices, e.vertices)
+                assert np.array_equal(a.true_prev, e.true_prev)
+                assert (a.params, a.start, a.seed) == (e.params, e.start, e.seed)
+                # the nested-walk RW flagged the full sample of an isolated start at n = 1
+                full_isolated = g.degrees[a.start] == 0 and sizes["n"] == 1
+                assert a.flagged == (flagged and not full_isolated)
+                assert a.flagged == (len(a.vertices) < sizes["n"])
+
+    @pytest.mark.parametrize("sampler", [sample_bfs, sample_rw])
+    def test_isolated_start_with_n_one_is_full_and_unflagged(self, sampler):
+        g = Graph.from_edges(3, [(1, 2)], labels=[0, 1, 1])
+        samples = sampler(g, np.arange(3), g.labels, seeds_per_label=1, n=1, seed=2)
+        iso = [s for s in samples if s.start == 0][0]
+        assert list(iso.vertices) == [0]
+        assert not iso.flagged
+
 
 class TestRw:
     def test_two_vertex_path_visits_both(self):
@@ -298,8 +421,8 @@ class TestRw:
 
     def test_walk_stops_once_it_has_seen_every_vertex_it_can_reach(self, monkeypatch):
         # components of 6, 2 and 2 vertices and n = 50: each walk ran all 50,000
-        # steps of its budget; it now stops soon after 10 * n steps, with the
-        # sample it would have returned anyway
+        # steps of its budget; it now stops soon after 10 * 6 steps, 6 being the
+        # pool size, with the sample it would have returned anyway
         g = Graph.from_edges(10, [(i, i + 1) for i in range(5)] + [(6, 7), (8, 9)],
                              labels=[0, 1] * 5)
         pool = np.array([0, 1, 3, 5, 6, 8])
@@ -324,6 +447,28 @@ class TestRw:
         g = generate_sbm([40, 40], 0.2, 0.05, seed=6)
         samples = sample_rw(g, np.arange(80), g.labels, seeds_per_label=2, n=60, seed=8)
         assert all(len(s.vertices) == 60 and not s.flagged for s in samples)
+
+    def test_huge_n_on_a_small_pool_counts_reach_after_ten_steps_per_pool_vertex(self, monkeypatch):
+        # n = 10**6 and 6 pool vertices: each walk counted its reach only after
+        # 10 * n = 10**7 steps, and now after 10 * 6
+        g = Graph.from_edges(10, [(i, i + 1) for i in range(5)] + [(6, 7), (8, 9)],
+                             labels=[0, 1] * 5)
+        pool = np.array([0, 1, 3, 5, 6, 8])
+        bound = 2 * 2 * shift.RW_REACH_CHECK_FACTOR * len(pool)  # two samples
+        steps = []
+        real = Graph.neighbors
+
+        def spy(self, v):
+            steps.append(v)
+            if len(steps) > bound:
+                pytest.fail(f"RW took more than {bound} steps on a pool of {len(pool)}")
+            return real(self, v)
+        monkeypatch.setattr(Graph, "neighbors", spy)
+        samples = sample_rw(g, pool, g.labels[pool], seeds_per_label=1, n=10 ** 6, walk_len=3,
+                            alpha=0.1, seed=2)
+        for s in samples:
+            within = graph.bfs_distances(g, [s.start])[0] <= 3
+            assert s.flagged and sorted(s.vertices) == [v for v in pool if within[v]]
 
     def test_deterministic(self):
         g = generate_sbm([40, 40], 0.2, 0.05, seed=6)
