@@ -262,7 +262,7 @@ def save_graph(g: Graph, edge_path, labels_path=None, features_path=None) -> Non
     """Write a graph in the format accepted by load_graph (one edge per line, u < v)."""
     src, dst = g.edge_arrays()
     mask = src < dst
-    lines = [f"{u} {v}" for u, v in zip(src[mask], dst[mask])]
+    lines = [f"{u} {v}" for u, v in zip(src[mask].tolist(), dst[mask].tolist())]
     Path(edge_path).write_text("\n".join(lines) + ("\n" if lines else ""))
     if labels_path is not None:
         if g.labels is None:

@@ -263,8 +263,9 @@ def _rw_collect(g: Graph, in_pool: np.ndarray, start: int, n: int, rng: np.rando
     for step in range(RW_STEP_BUDGET_FACTOR * n if g.degrees[start] else 0):
         if step == reach_at and len(seen) < n:
             hops = bfs_distances(g, [start])[0]  # its maximum marks no path
+            radius = walk_len if alpha < 1.0 else 0  # alpha 1 teleports back every step
             limit = min(n, np.count_nonzero(
-                in_pool & (hops < min(walk_len + 1, np.iinfo(hops.dtype).max))))
+                in_pool & (hops < min(radius + 1, np.iinfo(hops.dtype).max))))
         if len(seen) == limit:
             break
         if rng.random() < alpha:

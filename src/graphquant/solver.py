@@ -112,47 +112,41 @@ def _polish_active_set(ctc: np.ndarray, ctp: np.ndarray, q: np.ndarray) -> np.nd
     dropping negative coordinates and re-adding coordinates whose KKT
     multiplier says they belong, until the KKT conditions hold."""
     k = len(q)
-
-    def objective_quad(x):
-        return float(x @ ctc @ x - 2.0 * ctp @ x)
-
-    support = np.nonzero(q > 0.0)[0]
-    best, best_obj = q, objective_quad(q)
+    # the bordered KKT system [[2 C^T C, 1], [1^T, 0]] [x; nu] = [2 C^T p; 1] of all K
+    # coordinates: a support's system keeps the rows and columns its mask sets, and
+    # the mask's last entry, the border's, stays set
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k], kkt[k, k] = 2.0 * ctc, 0.0
+    rhs = np.concatenate([2.0 * ctp, [1.0]])
+    support = np.concatenate([q > 0.0, [True]])
+    best, best_obj = q, float(q @ ctc @ q - 2.0 * ctp @ q)
     for _ in range(3 * k):
-        x = _solve_kkt(ctc, ctp, support)
+        rows = np.flatnonzero(support)  # the support in sorted order, then the border
+        a, b = kkt[rows[:, None], rows], rhs[rows]
+        try:
+            sol = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is None or not np.isfinite(sol).all():
+            sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+        x, rows = sol[:-1], rows[:-1]
         if x.min() < -1e-12:
-            support = np.delete(support, int(np.argmin(x)))
-            if len(support) == 0:
+            support[rows[int(np.argmin(x))]] = False
+            if len(rows) == 1:
                 return best
             continue
         candidate = np.zeros(k)
-        candidate[support] = np.maximum(x, 0.0)
+        candidate[rows] = np.maximum(x, 0.0)
         candidate /= candidate.sum()
-        if objective_quad(candidate) <= best_obj:
-            best, best_obj = candidate, objective_quad(candidate)
+        obj = float(candidate @ ctc @ candidate - 2.0 * ctp @ candidate)
+        if obj <= best_obj:
+            best, best_obj = candidate, obj
         grad = 2.0 * (ctc @ candidate - ctp)
-        nu = grad[support].mean()
-        outside = np.setdiff1d(np.arange(k), support, assume_unique=False)
+        outside = np.flatnonzero(~support[:k])
         if len(outside) == 0:
             return best
         worst = outside[int(np.argmin(grad[outside]))]
-        if grad[worst] >= nu - 1e-10:
+        if grad[worst] >= grad[rows].mean() - 1e-10:
             return best
-        support = np.sort(np.append(support, worst))
+        support[worst] = True
     return best
-
-
-def _solve_kkt(ctc: np.ndarray, ctp: np.ndarray, support: np.ndarray) -> np.ndarray:
-    s = len(support)
-    kkt = np.zeros((s + 1, s + 1))
-    kkt[:s, :s] = 2.0 * ctc[np.ix_(support, support)]
-    kkt[:s, s] = 1.0
-    kkt[s, :s] = 1.0
-    rhs = np.concatenate([2.0 * ctp[support], [1.0]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol = None
-    if sol is None or not np.isfinite(sol).all():
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:s]

@@ -194,7 +194,8 @@ def start_vertex_cases(draw):
     """A planted-partition graph, a pool drawn from its vertices (duplicates
     allowed; vertices in other components or past walk_len hops of a start are
     common) and the BFS/RW settings. With alpha = 1 a walk never leaves its
-    start and runs its whole 1000 * n step budget, so n stays at most 20 there."""
+    start, and the oracle runs its whole 1000 * n step budget, so n stays at most
+    20 there."""
     blocks = draw(st.lists(st.integers(1, 30), min_size=2, max_size=3))
     g = generate_sbm(blocks, draw(st.sampled_from([0.3, 0.1, 1.0, 0.0])),
                      draw(st.sampled_from([0.05, 0.2, 0.0])), seed=draw(st.integers(0, 2 ** 16)))
@@ -469,6 +470,31 @@ class TestRw:
         for s in samples:
             within = graph.bfs_distances(g, [s.start])[0] <= 3
             assert s.flagged and sorted(s.vertices) == [v for v in pool if within[v]]
+
+    def test_full_teleport_with_huge_n_stops_after_ten_draws_per_pool_vertex(self):
+        # alpha 1 and n = 10**6: the walk counted every pool vertex within walk_len
+        # hops as reachable, never saw more than its start, and drew its whole
+        # budget of 1000 * n steps
+        g = Graph.from_edges(10, [(i, i + 1) for i in range(9)], labels=[0, 1] * 5)
+        in_pool = np.ones(g.n, dtype=bool)
+        bound = shift.RW_REACH_CHECK_FACTOR * g.n
+        real = np.random.default_rng(2)
+
+        class CountingRng:
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                if self.draws > bound:
+                    pytest.fail(f"RW drew more than {bound} times on a pool of {g.n}")
+                return real.random()
+
+            def integers(self, high):
+                return real.integers(high)
+        rng = CountingRng()
+        vertices = shift._rw_collect(g, in_pool, 4, 10 ** 6, rng, walk_len=3, alpha=1.0)
+        assert list(vertices) == [4]
+        assert rng.draws == bound
 
     def test_deterministic(self):
         g = generate_sbm([40, 40], 0.2, 0.05, seed=6)
