@@ -10,7 +10,8 @@ from .errors import ConfigError, DataError, GraphQuantError
 from .estimation import PredictionSet
 from .graph import Graph, bfs_distances, load_graph, save_graph
 from .kernels import KernelSpec, make_evaluator
-from .quantifiers import PrevalenceVector, QuantifierSpec, quantify, quantify_batch
+from .quantifiers import (PrevalenceVector, QuantifierSpec, importance_weigher, quantify,
+                          quantify_batch)
 from .solver import SimplexLsqResult, solve_simplex_lsq
 from .shift import ShiftSample, SplitSpec, generate_sbm, sample_bfs, sample_pps, \
     sample_rw, uniform_split
@@ -25,7 +26,7 @@ __all__ = [
     "KernelSpec", "make_evaluator",
     "PredictionSet",
     "SimplexLsqResult", "solve_simplex_lsq",
-    "QuantifierSpec", "PrevalenceVector", "quantify", "quantify_batch",
+    "QuantifierSpec", "PrevalenceVector", "quantify", "quantify_batch", "importance_weigher",
     "ShiftSample", "SplitSpec", "uniform_split",
     "sample_pps", "sample_bfs", "sample_rw", "generate_sbm",
     "ae", "rae", "run_experiment", "aggregate",

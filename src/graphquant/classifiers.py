@@ -107,7 +107,6 @@ def load_predictions(path, n: int, K: int) -> PredictionSet:
         raise _prediction_shape_error(path, text, n, K) or exc from None
     if len(values) != n:
         raise _prediction_shape_error(path, text, n, K)
-    # checked here, so the PredictionSet is built without checking it again
     if hard:
         return PredictionSet(K=K, hard=values.ravel())
     sums = values.sum(axis=1)

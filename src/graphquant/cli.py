@@ -179,7 +179,7 @@ def cmd_quantify(args) -> int:
     split = load_split(args.split, g.n)
     train = split.quantifier_train
     preds = load_predictions(args.preds, g.n, g.num_classes) if args.preds else None
-    spec = parse_quantifier_spec(load_yaml(args.quantifier, "--quantifier") or {})
+    spec = parse_quantifier_spec(load_yaml(args.quantifier, "--quantifier"))
     if args.sample_index is not None:
         sections = load_sample_sections(args.test, g.n)
         if not 0 <= args.sample_index < len(sections):

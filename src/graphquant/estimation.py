@@ -25,7 +25,8 @@ DENSITY_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Per-vertex hard labels and/or per-vertex probability rows."""
+    """Per-vertex hard labels and/or per-vertex probability rows, checked on
+    construction: labels below K, rows with K columns, one row per label."""
     K: int
     hard: np.ndarray | None = None  # int64, shape (n,)
     soft: np.ndarray | None = None  # float64, shape (n, K), rows on the simplex
@@ -34,18 +35,23 @@ class PredictionSet:
         object.__setattr__(self, "K", check_count(self.K, "prediction set K"))
         if self.hard is None and self.soft is None:
             raise DataError("prediction set needs hard labels or probabilities")
+        if self.hard is not None:
+            object.__setattr__(self, "hard", check_label_array(None, self.hard, "hard"))
+            if self.hard.size and self.hard.max() >= self.K:
+                raise DataError(f"hard label out of range for K={self.K}")
+        if self.soft is not None:
+            object.__setattr__(self, "soft", check_probability_rows(self.soft, self.K, 1e-9))
+        if self.hard is not None and self.soft is not None and len(self.hard) != len(self.soft):
+            raise DataError(f"{len(self.hard)} hard labels but {len(self.soft)} probability rows")
 
     @classmethod
     def from_hard(cls, labels, K: int) -> "PredictionSet":
-        preds = cls(K=K, hard=check_label_array(None, labels, "hard"))
-        if preds.n and preds.hard.max() >= preds.K:
-            raise DataError(f"hard label out of range for K={preds.K}")
-        return preds
+        return cls(K=K, hard=labels)
 
     @classmethod
     def from_soft(cls, probs) -> "PredictionSet":
+        # checked here only to read K and take the argmax (ties to the lowest index)
         probs = check_probability_rows(probs, None, 1e-9)
-        # ties broken to the lowest index by argmax
         return cls(K=probs.shape[1], hard=np.argmax(probs, axis=1), soft=probs)
 
     @property

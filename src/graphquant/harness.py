@@ -21,7 +21,7 @@ from .classifiers import enq_predict, label_prop_predict, load_predictions
 from .config import ENQ, LABEL_PROP, ClassifierConfig, ExperimentConfig
 from .errors import DataError, GraphQuantError
 from .graph import Graph, check_vertex_ids, load_graph, read_text, write_csv
-from .quantifiers import quantify_batch
+from .quantifiers import importance_weigher, quantify_batch
 from .shift import (ShiftSample, generate_sbm, sample_bfs, sample_pps, sample_rw,
                     uniform_split)
 
@@ -231,9 +231,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     quantify every sample with every quantifier, score against the realized
     sample histogram.
 
-    Classifier predictions and importance-weight kernels depend only on the
-    repetition's split, so each is built once per repetition and shared by
-    all shifts."""
+    Classifier predictions and importance weighers depend only on the
+    repetition's split, so each is built once per repetition; the weights are
+    computed once per shift and kernel pair, for all classifiers."""
     g = load_dataset(cfg)
     if g.labels is None:
         raise DataError("experiments need a labeled graph")
@@ -248,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         pool_labels = g.labels[pool]
         preds_per_clf = [fit_classifier(clf_cfg, g, clf_train, g.labels[clf_train])
                          for clf_cfg in cfg.classifiers]
-        weight_cache: dict = {}
+        weighers: dict = {}
         for shift_idx, shift_cfg in enumerate(cfg.shifts):
             samples = draw_samples(shift_cfg, g, pool, pool_labels,
                                    seed=_derive_seed(cfg.seed, 1, rep, shift_idx),
@@ -258,23 +258,29 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 realized = np.bincount(g.labels[s.vertices], minlength=K) / len(s.vertices)
                 if not np.array_equal(realized, s.true_prev):
                     raise DataError("sample ground truth does not match its histogram")
+            weights: dict = {}
             for clf_cfg, preds in zip(cfg.classifiers, preds_per_clf):
                 for quant_cfg in cfg.quantifiers:
                     rows.extend(_score_quantifier(
                         cfg, g, quant_cfg, clf_cfg, shift_cfg, rep, samples,
-                        quant_train, quant_labels, preds, weight_cache))
+                        quant_train, quant_labels, preds, weighers, weights))
     write_results_csv(rows, cfg.output)
     return rows
 
 
 def _score_quantifier(cfg, g, quant_cfg, clf_cfg, shift_cfg, rep, samples,
-                      quant_train, quant_labels, preds, weight_cache) -> list[ResultRow]:
+                      quant_train, quant_labels, preds, weighers, weights) -> list[ResultRow]:
     common = dict(dataset=cfg.dataset.name, shift=shift_cfg.name,
                   classifier=clf_cfg.name, quantifier=quant_cfg.name, repetition=rep)
-    try:
-        estimates = quantify_batch(quant_cfg.spec, g, quant_train, quant_labels,
-                                   [s.vertices for s in samples], preds,
-                                   weight_cache=weight_cache)
+    spec, vertices = quant_cfg.spec, [s.vertices for s in samples]
+    key = (spec.kernel_q, spec.kernel_p)
+    try:  # filled on first use: a kernel that cannot be built fails only its quantifiers
+        if spec.uses_sis and key not in weights:
+            if key not in weighers:
+                weighers[key] = importance_weigher(spec, g, quant_train)
+            weights[key] = weighers[key](vertices)
+        estimates = quantify_batch(spec, g, quant_train, quant_labels, vertices, preds,
+                                   weights=weights.get(key))
     except GraphQuantError as exc:  # record the failure, keep the run going
         logger.warning("%s failed on shift %s, classifier %s, repetition %d: %s",
                        quant_cfg.name, shift_cfg.name, clf_cfg.name, rep, exc)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import estimation
 from .classifiers import check_labels
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .estimation import (HARD, SOFT, PredictionSet, confusion_estimate, density_ratio,
                          kde_density, outcome_matrix, prevalence_vector)
 from .graph import Graph, check_vertex_ids
@@ -49,6 +49,8 @@ class QuantifierSpec:
             raise ConfigError("nacc requires base=acc")
         if (self.kernel_q is not None or self.kernel_p is not None) and self.base != ACC:
             raise ConfigError("importance-sampling kernels require base=acc")
+        if self.probabilistic and self.base == MLPE:
+            raise ConfigError("mlpe uses no predictions, so it cannot be probabilistic")
 
     @property
     def uses_sis(self) -> bool:
@@ -75,39 +77,25 @@ class PrevalenceVector:
     flags: tuple[str, ...] = ()
 
 
-def _mode(spec: QuantifierSpec) -> str:
-    return SOFT if spec.probabilistic else HARD
+def importance_weigher(spec: QuantifierSpec, g: Graph, train_vertices):
+    """`weigh(samples)`: the importance weights of the training vertices, one
+    array per sample. The kernel maps and the training density are built here
+    once, so a caller with many batches over one training set keeps one weigher
+    and passes what it weighs to quantify_batch as `weights`."""
+    train_vertices = check_vertex_ids(train_vertices, g.n, "train vertices")
+    kernel_q = spec.kernel_q if spec.kernel_q is not None else KernelSpec.constant()
+    kernel_p = spec.kernel_p if spec.kernel_p is not None else KernelSpec.constant()
+    q_kernel = make_evaluator(kernel_q, g, train_vertices)
+    p_kernel = make_evaluator(kernel_p, g, train_vertices)
+    p_density = kde_density(p_kernel, [train_vertices], g.n)[:, 0]
 
-
-class _WeightContext:
-    """Per-(spec, graph, train) resources for importance weights, so batch
-    runs reuse the kernel maps and the training-density estimate. The weights
-    of the last batch are kept too: they do not depend on the predictions, so
-    a harness that quantifies one batch once per classifier builds them once."""
-
-    def __init__(self, spec: QuantifierSpec, g: Graph, train_vertices: np.ndarray):
-        self.graph = g
-        self.train = train_vertices.copy()
-        self._last: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
-        kernel_q = spec.kernel_q if spec.kernel_q is not None else KernelSpec.constant()
-        kernel_p = spec.kernel_p if spec.kernel_p is not None else KernelSpec.constant()
-        self.q_kernel = make_evaluator(kernel_q, g, train_vertices)
-        p_kernel = make_evaluator(kernel_p, g, train_vertices)
-        self.p_density = kde_density(p_kernel, [train_vertices], g.n)[:, 0]
-
-    def weights_for(self, samples: list[np.ndarray]) -> list[np.ndarray]:
-        """Importance weights of the training vertices, one array per sample."""
+    def weigh(samples) -> list[np.ndarray]:
+        samples = [check_vertex_ids(s, g.n, "test sample", nonempty=True) for s in samples]
         if not samples:
             return []
-        last_samples, last_weights = self._last
-        if len(samples) == len(last_samples) and all(
-                np.array_equal(a, b) for a, b in zip(samples, last_samples)):
-            return last_weights
-        q = kde_density(self.q_kernel, samples, self.graph.n)
-        weights = [density_ratio(q[:, j], self.p_density) for j in range(len(samples))]
-        # copies: a caller's array may be changed in place before the next batch
-        self._last = ([s.copy() for s in samples], weights)
-        return weights
+        q = kde_density(q_kernel, samples, g.n)
+        return [density_ratio(q[:, j], p_density) for j in range(len(samples))]
+    return weigh
 
 
 def quantify(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
@@ -118,19 +106,19 @@ def quantify(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
 
 def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
                    samples, preds: PredictionSet | None = None,
-                   weight_cache: dict | None = None) -> list[PrevalenceVector]:
-    """Quantify many test samples; kernel matrices and the training-density
-    estimate are computed once and shared across samples.
-
-    A caller that quantifies several batches can pass one `weight_cache` dict
-    to all of them; the weight resources are then built once per (kernel_q,
-    kernel_p) pair and reused while the graph and training vertices stay the
-    same, and rebuilt when either changes.
-    """
+                   weights=None) -> list[PrevalenceVector]:
+    """Quantify many test samples. `weights` are an SIS spec's importance
+    weights, one array per sample, as importance_weigher(spec, g,
+    train_vertices)(samples) gives them; without them a fresh weigher computes
+    them, its kernel maps and training density shared across the samples."""
     train_vertices = check_vertex_ids(train_vertices, g.n, "train vertices")
     samples = [check_vertex_ids(s, g.n, "test sample", nonempty=True) for s in samples]
     train_labels, K = check_labels(g, train_vertices, train_labels,
                                    preds.K if preds is not None else None)
+    if preds is not None and preds.n != g.n:
+        raise DataError(f"prediction set has {preds.n} rows for a graph of {g.n} vertices")
+    if weights is not None and not spec.uses_sis:
+        raise ConfigError(f"{spec.name} takes no importance weights")
 
     if spec.base == MLPE:
         if len(train_labels) == 0:
@@ -142,21 +130,19 @@ def quantify_batch(spec: QuantifierSpec, g: Graph, train_vertices, train_labels,
         raise ConfigError(f"{spec.name} needs a prediction set")
     # looked up on the module so that tracing and test doubles see the call
     nbr = estimation.nacc_features(g, preds) if spec.nacc else None
-    outcomes = outcome_matrix(preds, _mode(spec), nbr)
+    outcomes = outcome_matrix(preds, SOFT if spec.probabilistic else HARD, nbr)
 
     if spec.base == CC:
         return [PrevalenceVector(q=prevalence_vector(outcomes, s), K=K, spec=spec)
                 for s in samples]
 
     if spec.uses_sis:
-        weight_cache = {} if weight_cache is None else weight_cache
-        key = (spec.kernel_q, spec.kernel_p)
-        context = weight_cache.get(key)
-        if (context is None or context.graph is not g
-                or not np.array_equal(context.train, train_vertices)):
-            context = weight_cache[key] = _WeightContext(spec, g, train_vertices)
+        weights = (importance_weigher(spec, g, train_vertices)(samples) if weights is None
+                   else list(weights))
+        if len(weights) != len(samples):  # zip would drop the samples past the last array
+            raise DataError(f"expected {len(samples)} weight arrays, got {len(weights)}")
         estimates = [confusion_estimate(outcomes, train_vertices, train_labels, K, w)
-                     for w in context.weights_for(samples)]
+                     for w in weights]
     else:
         estimates = [confusion_estimate(outcomes, train_vertices, train_labels, K)] * len(samples)
     results = []

@@ -158,6 +158,10 @@ class TestQuantify:
         ("{base: acc, kernel_q: {kind: ppr, mode: dense}}", "unknown key 'mode'"),
         ("{base: acc", "invalid YAML"),
         ("acc", "must be a mapping"),
+        # each ran acc and exited 0, read as an empty spec
+        ("0", "must be a mapping"),
+        ("false", "must be a mapping"),
+        ("[]", "must be a mapping"),
         # both exited 2 after building the hop block, as if the data were at fault
         ("{base: acc, kernel_q: {kind: sp, gamma: .nan}}", "sp gamma must be in (0, inf)"),
         ("{base: acc, kernel_q: {kind: sp, gamma: .inf}}", "sp gamma must be in (0, inf)"),

@@ -41,6 +41,30 @@ class TestPredictionSet:
             with pytest.raises(DataError, match="finite"):
                 PredictionSet.from_soft(np.array(bad))
 
+    @pytest.mark.parametrize("channels,message", [
+        # -1 read as class 1 through np.eye(K)[-1]: cc gave [0, 1] on such a set
+        (dict(K=2, hard=np.array([0, -1, 1])), "-1 is negative"),
+        (dict(K=2, hard=np.array([0, 2, 1])), "out of range for K=2"),
+        (dict(K=2, hard=np.array([[0, 1]])), "shape"),
+        (dict(K=2, hard=np.array([0.0, 1.0])), "must be integers"),
+        (dict(K=2, soft=np.array([[2.0, -1.0]])), "negative probability"),
+        (dict(K=2, soft=np.array([[0.5, 0.6]])), "sum to"),
+        (dict(K=2, soft=np.array([0.5, 0.5])), "2-D"),
+        # cc and acc gave [1/3, 1/3, 1/3] on such a set
+        (dict(K=3, soft=np.full((4, 2), 0.5)), "expected 3 columns, got 2"),
+        (dict(K=2, hard=np.array([0, 1, 0]), soft=np.full((2, 2), 0.5)),
+         "3 hard labels but 2 probability rows"),
+    ])
+    def test_constructor_checks_its_channels(self, channels, message):
+        with pytest.raises(DataError, match=message):
+            PredictionSet(**channels)
+
+    def test_constructor_keeps_checked_arrays(self):
+        hard, soft = np.array([1, 0]), np.array([[0.25, 0.75], [1.0, 0.0]])
+        preds = PredictionSet(K=2, hard=hard, soft=soft)
+        assert preds.hard is hard and preds.soft is soft
+        assert np.array_equal(PredictionSet(K=2, hard=[1, 0]).hard, hard)
+
     def test_missing_channel_raises(self):
         p = PredictionSet.from_hard([0, 1], K=2)
         with pytest.raises(ConfigError):

@@ -441,10 +441,46 @@ class TestHoisting:
         hoisted = run_experiment(cfg)
         original = harness.quantify_batch
 
-        def without_cache(*args, weight_cache=None, **kwargs):
+        # every call computes its own weights from a fresh weigher
+        def without_weights(*args, weights=None, **kwargs):
             return original(*args, **kwargs)
-        monkeypatch.setattr(harness, "quantify_batch", without_cache)
+        monkeypatch.setattr(harness, "quantify_batch", without_weights)
         assert run_experiment(cfg) == hoisted
+
+    @pytest.mark.parametrize("classifiers", [1, 2])
+    def test_weighers_per_repetition_weights_per_shift(self, tmp_path, monkeypatch,
+                                                       classifiers):
+        calls = {"make_evaluator": 0, "kde_density": 0}
+
+        def counting(name):
+            original = getattr(quantifiers, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(quantifiers, name, wrapper)
+
+        counting("make_evaluator")
+        counting("kde_density")
+        cfg = base_config(
+            tmp_path,
+            classifiers=[{"name": "enq", "kind": "enq"},
+                         {"name": "lp", "kind": "label_prop", "iterations": 5}][:classifiers],
+            # two quantifiers share the ppr pair; sp is a second pair
+            quantifiers=[{"name": "acc", "base": "acc"}, SIS_PPR,
+                         {"name": "acc+sis+nacc", "base": "acc", "nacc": True,
+                          "kernel_q": {"kind": "ppr"}},
+                         {"name": "acc+sis-sp", "base": "acc", "kernel_q": {"kind": "sp"}}],
+            shifts=[{"name": "pps", "kind": "pps", "n": 20, "num_dists": 2},
+                    {"name": "rw", "kind": "rw", "n": 20, "seeds_per_label": 1},
+                    {"name": "bfs", "kind": "bfs", "n": 20, "seeds_per_label": 1}],
+            repetitions=2)
+        run_experiment(cfg)
+        reps, pairs, shifts = 2, 2, 3
+        # per repetition and kernel pair: the q and p kernels and one p density;
+        # per shift and kernel pair: one q density batch
+        assert calls == {"make_evaluator": reps * pairs * 2,
+                         "kde_density": reps * pairs * (1 + shifts)}
 
 
 class TestQuantifierErrors:
@@ -458,6 +494,23 @@ class TestQuantifierErrors:
         assert all(r.ae is None and r.rae is None and r.flags == ("error:DataError",)
                    for r in rows)
         assert "weights degenerate" in caplog.text
+
+    def test_kernel_that_cannot_be_built_fails_only_its_quantifier(self, tmp_path):
+        # an SBM graph has no vertex features, so the feature kernel is a ConfigError
+        others = [{"name": "acc", "base": "acc"}, SIS_PPR]
+        feature = {"name": "acc+sis-feat", "base": "acc", "kernel_q": {"kind": "feature"}}
+        settings = dict(classifiers=[{"name": "enq", "kind": "enq"},
+                                     {"name": "lp", "kind": "label_prop", "iterations": 5}],
+                        shifts=[{"name": "pps", "kind": "pps", "n": 20, "num_dists": 2},
+                                {"name": "rw", "kind": "rw", "n": 20, "seeds_per_label": 1}],
+                        repetitions=2)
+        rows = run_experiment(base_config(tmp_path, quantifiers=[others[0], feature, others[1]],
+                                          **settings))
+        failed = [r for r in rows if r.quantifier == "acc+sis-feat"]
+        assert len(failed) == 2 * 2 * 2 * 2  # repetitions x shifts x classifiers x samples
+        assert all(r.ae is None and r.flags == ("error:ConfigError",) for r in failed)
+        alone = run_experiment(base_config(tmp_path, quantifiers=others, **settings))
+        assert [r for r in rows if r.quantifier != "acc+sis-feat"] == alone
 
     def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
         def buggy(*args, **kwargs):

@@ -9,7 +9,8 @@ from graphquant.estimation import (PredictionSet, confusion_estimate, outcome_ma
                                    prevalence_vector)
 from graphquant.graph import Graph
 from graphquant.kernels import KernelSpec
-from graphquant.quantifiers import QuantifierSpec, _WeightContext, quantify, quantify_batch
+from graphquant.quantifiers import (QuantifierSpec, importance_weigher, quantify,
+                                    quantify_batch)
 from graphquant.shift import generate_sbm, sample_rw
 from graphquant.solver import solve_simplex_lsq
 
@@ -37,6 +38,9 @@ class TestSpecs:
             QuantifierSpec(base="mlpe", kernel_q=KernelSpec.constant())
         with pytest.raises(ConfigError):
             QuantifierSpec(base="nope")
+        # mlpe returns the training histogram, so the flag would be ignored
+        with pytest.raises(ConfigError, match="mlpe"):
+            QuantifierSpec(base="mlpe", probabilistic=True)
 
     def test_names(self):
         assert QuantifierSpec(base="mlpe").name == "mlpe"
@@ -225,6 +229,17 @@ class TestVertexIds:
             quantify(QuantifierSpec(base="acc"), g, np.append(train, 500),
                      np.append(train_labels, 0), test, preds)
 
+    @pytest.mark.parametrize("rows", [30, 50])
+    def test_prediction_set_of_another_length_rejected(self, rows):
+        # 30 rows on a 40-vertex graph raised IndexError, and 50 gave cc [0.4, 0.6]
+        g = generate_sbm([20, 20], 0.3, 0.05, seed=8)
+        preds = PredictionSet.from_hard(np.arange(rows) % 2, K=2)
+        train = np.arange(0, 40, 2)
+        for spec in (QuantifierSpec(base="mlpe"), QuantifierSpec(base="cc"),
+                     QuantifierSpec(base="acc", kernel_q=KernelSpec.ppr())):
+            with pytest.raises(DataError, match=f"prediction set has {rows} rows"):
+                quantify(spec, g, train, g.labels[train], [1, 3, 5], preds)
+
     @pytest.mark.parametrize("base", ["acc", "mlpe", "cc"])
     def test_train_label_count_mismatch_rejected(self, base):
         # acc raised numpy's ValueError and mlpe returned [0, 1] without an error
@@ -288,79 +303,61 @@ class TestConfusionOncePerBatch:
             assert len(calls) == expected, spec.name
 
 
-class TestWeightsOncePerShift:
-    def test_two_classifiers_build_q_densities_once(self, monkeypatch):
-        g = generate_sbm([30, 30, 30], 0.2, 0.02, seed=3)
-        rng = np.random.default_rng(5)
-        train, pool = np.arange(0, 90, 2), np.arange(1, 90, 2)
-        samples = [rng.choice(pool, size=20) for _ in range(3)]
-        preds_per_clf = [PredictionSet.from_soft(rng.dirichlet(np.ones(3), size=90))
-                         for _ in range(2)]
-        spec = QuantifierSpec(base="acc", kernel_q=KernelSpec.shortest_path())
-        calls = []
-        original = quantifiers.kde_density
-
-        def counting(kernel, batch, n):
-            calls.append(len(batch))
-            return original(kernel, batch, n)
-        monkeypatch.setattr(quantifiers, "kde_density", counting)
-        cache: dict = {}
-        for preds in preds_per_clf:
-            # a fresh list of equal arrays: matched on contents, not identity
-            batch = [s.copy() for s in samples]
-            shared = quantify_batch(spec, g, train, g.labels[train], batch, preds,
-                                    weight_cache=cache)
-            alone = quantify_batch(spec, g, train, g.labels[train], batch, preds)
-            assert all(np.array_equal(a.q, b.q) for a, b in zip(shared, alone))
-        # one p density and one q batch for the shared cache, two per fresh one
-        assert calls == [1, 3, 1, 3, 1, 3]
-
-        calls.clear()
-        changed = [s.copy() for s in samples]
-        changed[1][0] = pool[pool != changed[1][0]][0]
-        quantify_batch(spec, g, train, g.labels[train], changed, preds_per_clf[0],
-                       weight_cache=cache)
-        assert calls == [3]
-        calls.clear()
-        quantify_batch(spec, g, train, g.labels[train], samples[:2], preds_per_clf[0],
-                       weight_cache=cache)
-        assert calls == [2]
-
-    def test_cache_rebuilt_for_another_graph_or_training_set(self):
-        # a cache keyed by the kernels alone served the first training set's
-        # weights to the second, of the same size: the first sample's q came out
-        # as [0, 0, 1] where a fresh cache gives [0.324, 0, 0.676]
+class TestImportanceWeights:
+    def test_given_weights_equal_computed_weights(self):
+        # a weight cache keyed by the kernels alone once served the first
+        # training set's weights to the second, of the same size: the first
+        # sample's q came out as [0, 0, 1] where fresh weights give [0.324, 0, 0.676]
         g = generate_sbm([30, 30, 30], 0.2, 0.02, seed=3)
         other_g = generate_sbm([30, 30, 30], 0.2, 0.02, seed=4)
         rng = np.random.default_rng(5)
         preds = PredictionSet.from_soft(rng.dirichlet(np.ones(3), size=90))
         samples = [rng.choice(np.arange(1, 90, 2), size=20) for _ in range(3)]
         spec = QuantifierSpec(base="acc", kernel_q=KernelSpec.shortest_path())
-        cache: dict = {}
         for graph, train in [(g, np.arange(0, 90, 2)), (g, np.arange(1, 90, 2)),
                              (other_g, np.arange(1, 90, 2)), (g, np.arange(1, 90, 2))]:
-            cached = quantify_batch(spec, graph, train, graph.labels[train], samples, preds,
-                                    weight_cache=cache)
-            fresh = quantify_batch(spec, graph, train, graph.labels[train], samples, preds)
-            assert all(np.array_equal(a.q, b.q) for a, b in zip(cached, fresh))
+            weights = importance_weigher(spec, graph, train)(samples)
+            given = quantify_batch(spec, graph, train, graph.labels[train], samples, preds,
+                                   weights=weights)
+            computed = quantify_batch(spec, graph, train, graph.labels[train], samples, preds)
+            assert all(np.array_equal(a.q, b.q) and a.flags == b.flags
+                       for a, b in zip(given, computed))
 
-    def test_recomputed_batch_gives_fresh_weights(self):
+    def test_weigher_keeps_nothing_between_calls(self):
         g = generate_sbm([20, 20], 0.3, 0.05, seed=8)
         train = np.arange(0, 40, 2)
-        context = _WeightContext(QuantifierSpec(base="acc", kernel_q=KernelSpec.ppr()),
-                                 g, train)
-        first = context.weights_for([np.array([1, 3, 5])])
-        second = context.weights_for([np.array([1, 3, 7])])
-        fresh = _WeightContext(QuantifierSpec(base="acc", kernel_q=KernelSpec.ppr()),
-                               g, train).weights_for([np.array([1, 3, 7])])
-        assert not np.array_equal(first[0], second[0])
-        assert np.array_equal(second[0], fresh[0])
-
-        # the same array changed in place is a new batch
+        spec = QuantifierSpec(base="acc", kernel_q=KernelSpec.ppr())
+        weigh = importance_weigher(spec, g, train)
+        first = weigh([np.array([1, 3, 5])])
+        fresh = importance_weigher(spec, g, train)([np.array([1, 3, 7])])
+        assert not np.array_equal(first[0], fresh[0])
+        assert np.array_equal(weigh([np.array([1, 3, 7])])[0], fresh[0])
+        # the same array changed in place is weighed anew
         sample = np.array([1, 3, 5])
-        context.weights_for([sample])
+        weigh([sample])
         sample[2] = 7
-        assert np.array_equal(context.weights_for([sample])[0], fresh[0])
+        assert np.array_equal(weigh([sample])[0], fresh[0])
+
+    def test_wrong_number_of_weight_arrays_is_data_error(self):
+        g, train, train_labels, test, preds = synthetic_channel_setup()
+        spec = QuantifierSpec(base="acc", kernel_q=KernelSpec.constant())
+        samples = [test, test[:50]]
+        weights = importance_weigher(spec, g, train)(samples)
+        for wrong in (weights[:1], weights + weights[:1], []):
+            with pytest.raises(DataError, match="expected 2 weight arrays"):
+                quantify_batch(spec, g, train, train_labels, samples, preds, weights=wrong)
+        with pytest.raises(DataError, match="weights must have length 20"):
+            quantify_batch(spec, g, train, train_labels, samples, preds,
+                           weights=[w[:-1] for w in weights])
+
+    @pytest.mark.parametrize("spec", [QuantifierSpec(base="cc"), QuantifierSpec(base="acc"),
+                                      QuantifierSpec(base="acc", nacc=True),
+                                      QuantifierSpec(base="mlpe")])
+    def test_weights_for_spec_without_kernels_are_config_error(self, spec):
+        g, train, train_labels, test, preds = synthetic_channel_setup()
+        with pytest.raises(ConfigError, match="takes no importance weights"):
+            quantify_batch(spec, g, train, train_labels, [test], preds,
+                           weights=[np.ones(len(train))])
 
 
 @st.composite
@@ -409,8 +406,8 @@ class TestRelabelling:
         for spec in (QuantifierSpec(kernel_q=ppr), QuantifierSpec(kernel_q=sp),
                      QuantifierSpec(kernel_q=ppr, kernel_p=sp)):
             (g, _, train, sample), (g2, _, train2, sample2) = problems
-            a = _WeightContext(spec, g, train).weights_for([sample])[0]
-            b = _WeightContext(spec, g2, train2).weights_for([sample2])[0]
+            a = importance_weigher(spec, g, train)([sample])[0]
+            b = importance_weigher(spec, g2, train2)([sample2])[0]
             assert np.allclose(a, b, rtol=0.0, atol=1e-12), spec
 
 
